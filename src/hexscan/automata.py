@@ -18,7 +18,7 @@ because the visit order never depends on the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .hexgrid import BORDER_SYMBOL, Cell, FormatError, HexPicture, RESERVED_SYMBOLS
@@ -63,6 +63,28 @@ class HexAutomaton:
             f"{self.kind} automaton: {len(self.states)} states, "
             f"{len(self.value_rules)} value rules, {len(self.border_rules)} border rules"
         )
+
+    # Derived once per automaton and kept in its instance dict, so they are
+    # freed with it; the fields are immutable, so neither can go stale.
+    @cached_property
+    def _diagnostics(self) -> tuple[str, ...]:
+        return tuple(validate(self))
+
+    @cached_property
+    def _indexed(self) -> "IndexedAutomaton":
+        names = tuple(sorted(self.states))
+        index = {name: i for i, name in enumerate(names)}
+        value: dict[tuple[int, str], int] = {}
+        for p, sym, q in self.value_rules:
+            key = (index[p], sym)
+            value[key] = value.get(key, 0) | (1 << index[q])
+        border: dict[int, int] = {}
+        for p, q in self.border_rules:
+            border[index[p]] = border.get(index[p], 0) | (1 << index[q])
+        finals_mask = 0
+        for f in self.finals:
+            finals_mask |= 1 << index[f]
+        return IndexedAutomaton(names, value, border, 1 << index[self.start], finals_mask)
 
 
 def automaton(
@@ -128,9 +150,9 @@ def validate(a: HexAutomaton) -> list[str]:
 
 
 def require_valid(a: HexAutomaton) -> None:
-    diagnostics = validate(a)
-    if diagnostics:
-        raise InvalidAutomatonError(diagnostics)
+    """Raise on every call for an invalid automaton; `validate` runs once per automaton."""
+    if a._diagnostics:
+        raise InvalidAutomatonError(list(a._diagnostics))
 
 
 def is_deterministic(a: HexAutomaton) -> bool:
@@ -165,23 +187,6 @@ class IndexedAutomaton(NamedTuple):
             mask ^= low
             out.append(self.names[low.bit_length() - 1])
         return tuple(sorted(out))
-
-
-@lru_cache(maxsize=1024)
-def _indexed(a: HexAutomaton) -> IndexedAutomaton:
-    names = tuple(sorted(a.states))
-    index = {name: i for i, name in enumerate(names)}
-    value: dict[tuple[int, str], int] = {}
-    for p, sym, q in a.value_rules:
-        key = (index[p], sym)
-        value[key] = value.get(key, 0) | (1 << index[q])
-    border: dict[int, int] = {}
-    for p, q in a.border_rules:
-        border[index[p]] = border.get(index[p], 0) | (1 << index[q])
-    finals_mask = 0
-    for f in a.finals:
-        finals_mask |= 1 << index[f]
-    return IndexedAutomaton(names, value, border, 1 << index[a.start], finals_mask)
 
 
 def _step_value(idx: IndexedAutomaton, frontier: int, symbol: str) -> int:
@@ -244,7 +249,7 @@ def run(
     extra = picture.symbols() - a.alphabet
     if extra:
         raise ValueError(f"picture symbols outside automaton alphabet: {sorted(extra)}")
-    idx = _indexed(a)
+    idx = a._indexed
     plan = scan_lines(picture.size, mode)
     frontier = idx.start_mask
     steps: list[TraceStep] = [] if trace else None  # type: ignore[assignment]
@@ -306,7 +311,7 @@ def determinize(a: HexAutomaton) -> HexAutomaton:
     same pictures under every direction mode.
     """
     require_valid(a)
-    idx = _indexed(a)
+    idx = a._indexed
     start = idx.start_mask
     forward_subsets: set[int] = set()
     backward_subsets: set[int] = set()
@@ -420,9 +425,8 @@ def parse_automaton(text: str) -> tuple[HexAutomaton, DirectionMode | None]:
         _KIND_NAMES[kind_name], forward, backward, alphabet,
         value_rules, border_rules, start, finals,
     )
-    diagnostics = validate(a)
-    if diagnostics:
-        raise FormatError("invalid automaton: " + "; ".join(diagnostics))
+    if a._diagnostics:
+        raise FormatError("invalid automaton: " + "; ".join(a._diagnostics))
     if direction is not None and direction.kind != a.kind:
         raise FormatError("direction kind does not match automaton kind")
     return a, direction

@@ -1,9 +1,21 @@
 """Bounded picture enumeration and exact language-equivalence oracles.
 
 Everything here decides statements about automaton languages restricted to a
-finite set of sizes, either by streaming every picture (the enumeration
-oracle) or by a per-size product check over frontier-set pairs (the exact
-per-size oracle).  The two agree wherever both run; every language-level
+finite set of sizes, in one of two ways:
+
+  * the enumeration oracle (`accepted_set`, `bounded_equivalent`) lists the
+    accepted pictures of every size in a bound and compares the sets;
+  * the exact per-size oracle (`exact_equivalent_for_size`) enumerates no
+    pictures.  It advances the reachable pairs of frontier sets one cell at a
+    time, deduplicating after every cell and memoizing each step.  On a line
+    the two automata read in opposite orientations (the odd lines of a
+    boustrophedon machine against a returning one), one of them carries the
+    relation of the line's symbols read so far in reverse, one bitmask per
+    state, and applies it to its frontier at the line's end.  On a mismatch
+    the smallest counterexample is built greedily, cell by cell in row-major
+    order, with at most cells * (|alphabet| - 1) further pair searches.
+
+The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
 it.
 """
@@ -15,15 +27,17 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .hexgrid import (
+    Cell,
     HexPicture,
     HexSize,
     cell_count,
+    cells,
     picture_from_cells,
     row_widths,
     serialize_picture,
 )
 from .symmetry import apply_op, check_op, transform_size
-from .automata import HexAutomaton, _indexed, _step_border, _step_value, require_valid, run
+from .automata import HexAutomaton, _step_border, _step_value, require_valid
 from .scan import BOUSTROPHEDON, DirectionMode, scan_lines
 
 
@@ -88,13 +102,13 @@ def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[He
 
 
 def _consumption_cells(a_kind: str, plan) -> list:
-    cells = []
+    order = []
     for i, line in enumerate(plan.lines):
         if a_kind == BOUSTROPHEDON and i % 2 == 1:
-            cells.extend(reversed(line))
+            order.extend(reversed(line))
         else:
-            cells.extend(line)
-    return cells
+            order.extend(line)
+    return order
 
 
 def _accepted_words(
@@ -102,39 +116,53 @@ def _accepted_words(
 ) -> tuple[list, list[tuple[str, ...]]]:
     """All symbol words (in consumption order) the automaton accepts at a size.
 
-    Walks the assignment tree sharing frontier work across common prefixes,
-    memoizing on (position, frontier); dead frontiers prune whole subtrees.
+    A forward pass collects the nonempty frontiers reachable at each position
+    of the run, stepping each (position, frontier) once per symbol.  A
+    backward pass then builds the accepted suffixes of each of them from
+    those of the next position, so common prefixes share their frontier work
+    and dead frontiers prune whole subtrees.  Neither pass recurses, so the
+    run length is not bounded by the stack.
     Returns (cells in consumption order, accepted words).
     """
-    idx = _indexed(a)
+    idx = a._indexed
     plan = scan_lines(size, d)
-    steps: list[str] = []
+    borders: list[bool] = []
     for line in plan.lines:
-        steps.extend("v" * len(line))
-        steps.append("#")
-    memo: dict[tuple[int, int], tuple[tuple[str, ...], ...]] = {}
-
-    def walk(i: int, frontier: int) -> tuple[tuple[str, ...], ...]:
-        if i == len(steps):
-            return ((),) if frontier & idx.finals_mask else ()
-        key = (i, frontier)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if steps[i] == "#":
-            out = walk(i + 1, _step_border(idx, frontier))
-        else:
+        borders.extend([False] * len(line))
+        borders.append(True)
+    # edges[i][frontier]: the (symbol, next frontier) steps out of position
+    # i, with symbol None on a border read
+    edges: list[dict[int, list[tuple[str | None, int]]]] = []
+    layer = {idx.start_mask}
+    for border in borders:
+        out: dict[int, list[tuple[str | None, int]]] = {}
+        for frontier in layer:
+            if border:
+                nxt = _step_border(idx, frontier)
+                out[frontier] = [(None, nxt)] if nxt else []
+            else:
+                steps = out[frontier] = []
+                for sym in symbols:
+                    nxt = _step_value(idx, frontier, sym)
+                    if nxt:
+                        steps.append((sym, nxt))
+        edges.append(out)
+        layer = {nxt for steps in out.values() for _, nxt in steps}
+    suffixes = {frontier: ((),) for frontier in layer if frontier & idx.finals_mask}
+    for out in reversed(edges):
+        before: dict[int, tuple[tuple[str, ...], ...]] = {}
+        for frontier, steps in out.items():
             acc: list[tuple[str, ...]] = []
-            for sym in symbols:
-                nxt = _step_value(idx, frontier, sym)
-                if not nxt:
-                    continue
-                acc.extend((sym,) + tail for tail in walk(i + 1, nxt))
-            out = tuple(acc)
-        memo[key] = out
-        return out
-
-    return _consumption_cells(a.kind, plan), list(walk(0, idx.start_mask))
+            for sym, nxt in steps:
+                tails = suffixes.get(nxt, ())
+                if sym is None:
+                    acc.extend(tails)
+                else:
+                    acc.extend((sym,) + tail for tail in tails)
+            if acc:
+                before[frontier] = tuple(acc)
+        suffixes = before
+    return _consumption_cells(a.kind, plan), list(suffixes.get(idx.start_mask, ()))
 
 
 def accepted_set(
@@ -191,13 +219,108 @@ def bounded_equivalent(
     return min(diff, key=picture_sort_key)
 
 
-def _block_step(idx, frontier: int, word: tuple[str, ...], reverse: bool) -> int:
-    """Advance a frontier over one scan line's cells plus its border read."""
-    for sym in (reversed(word) if reverse else word):
-        frontier = _step_value(idx, frontier, sym)
-        if not frontier:
-            break
-    return _step_border(idx, frontier)
+def _union(rows: tuple[int, ...], mask: int) -> int:
+    """Union of rows[q] over the states q in mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        acc |= rows[low.bit_length() - 1]
+    return acc
+
+
+class _Stepper:
+    """One automaton's memoized steps on frontiers and on line relations.
+
+    A frontier is a bitmask of states.  A relation `(F, M)` stands for a line
+    this automaton reads in the opposite orientation to the pair search: `F`
+    is its frontier at the line's start and `M[p]` the states reachable from
+    `p` by reading the symbols seen so far in reverse.
+    """
+
+    def __init__(self, a: HexAutomaton):
+        self.idx = a._indexed
+        self.identity = tuple(1 << p for p in range(len(self.idx.names)))
+        self._value: dict[tuple[int, str], int] = {}
+        self._border: dict[int, int] = {}
+        self._relation: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
+
+    def value(self, frontier: int, symbol: str) -> int:
+        key = (frontier, symbol)
+        nxt = self._value.get(key)
+        if nxt is None:
+            nxt = self._value[key] = _step_value(self.idx, frontier, symbol)
+        return nxt
+
+    def relation(self, rel: tuple[int, tuple[int, ...]], symbol: str):
+        """M'[p] = union of M[q] over q in delta(p, symbol)."""
+        start, rows = rel
+        key = (rows, symbol)
+        nxt = self._relation.get(key)
+        if nxt is None:
+            value = self.idx.value
+            nxt = self._relation[key] = tuple(
+                _union(rows, value.get((p, symbol), 0)) for p in range(len(rows))
+            )
+        return start, nxt
+
+    def line_end(self, x) -> int:
+        """Frontier after the line's border read, resolving a relation first."""
+        if not isinstance(x, int):
+            start, rows = x
+            x = _union(rows, start)
+        nxt = self._border.get(x)
+        if nxt is None:
+            nxt = self._border[x] = _step_border(self.idx, x)
+        return nxt
+
+
+class _PairSearch:
+    """Reachable frontier pairs of two automata at one size, cell by cell.
+
+    Each line's cells are read in one orientation.  An automaton that reads
+    the line that way steps its frontier; on lines the two automata read in
+    opposite orientations (odd lines of a boustrophedon machine against a
+    returning one), the automaton with fewer states carries a relation
+    instead.  Pairs are deduplicated after every cell.
+    """
+
+    def __init__(self, a1: HexAutomaton, a2: HexAutomaton, plan, symbols: tuple[str, ...]):
+        self.sides = (_Stepper(a1), _Stepper(a2))
+        self.symbols = symbols
+        carrier = 0 if len(a1.states) <= len(a2.states) else 1
+        # (cells in reading order, index of the relation carrier or None)
+        self.lines = []
+        for i, line in enumerate(plan.lines):
+            rev = [a.kind == BOUSTROPHEDON and i % 2 == 1 for a in (a1, a2)]
+            if rev[0] == rev[1]:
+                self.lines.append((line[::-1] if rev[0] else line, None))
+            else:
+                reader = 1 - carrier
+                self.lines.append((line[::-1] if rev[reader] else line, carrier))
+
+    def mismatch(self, fixed: dict[Cell, str]) -> bool:
+        """True iff exactly one automaton accepts some picture that agrees with `fixed`."""
+        s1, s2 = self.sides
+        pairs = {(s1.idx.start_mask, s2.idx.start_mask)}
+        for order, carrier in self.lines:
+            step1, step2 = s1.value, s2.value
+            if carrier == 0:
+                step1 = s1.relation
+                pairs = {((f1, s1.identity), f2) for f1, f2 in pairs}
+            elif carrier == 1:
+                step2 = s2.relation
+                pairs = {(f1, (f2, s2.identity)) for f1, f2 in pairs}
+            for cell in order:
+                at = fixed.get(cell)
+                symbols = self.symbols if at is None else (at,)
+                pairs = {(step1(x1, sym), step2(x2, sym)) for x1, x2 in pairs for sym in symbols}
+            pairs = {(s1.line_end(x1), s2.line_end(x2)) for x1, x2 in pairs}
+            pairs.discard((0, 0))
+            if not pairs:
+                return False
+        fin1, fin2 = s1.idx.finals_mask, s2.idx.finals_mask
+        return any(bool(f1 & fin1) != bool(f2 & fin2) for f1, f2 in pairs)
 
 
 def exact_equivalent_for_size(
@@ -211,11 +334,22 @@ def exact_equivalent_for_size(
     """Decide per-size language equality without enumerating all pictures.
 
     Each run is a string acceptor over the fixed linearization shape
-    a^w1 # a^w2 # ... # a^wK #, so reachable frontier-set pairs are advanced
-    line by line (each automaton consuming the line in its own orientation)
-    and the two acceptance verdicts are compared on every reachable pair.
+    a^w1 # a^w2 # ... # a^wK #.  The reachable frontier pairs are advanced
+    one cell at a time, with memoized steps, and the two acceptance verdicts
+    are compared on every pair reachable at the end.  A line the automata
+    read in opposite orientations is handled by a relation carried by one
+    of them: `M[p]`, the states reachable from `p` by reading the line's
+    symbols so far in reverse, is updated per symbol w as
+    M'[p] = union of M[q] over q in delta(p, w), and applied to that
+    automaton's frontier at the line's end.
+
     Directions must share the same plan geometry (equal elements); kinds may
-    differ.  Returns None when equal, else the smallest counterexample.
+    differ.  Returns None when equal, else the smallest counterexample by
+    `picture_sort_key`.  It is built greedily: cells are fixed in row-major
+    order, each to the first symbol in sorted order for which a pair search
+    restricted to the cells fixed so far still reaches a mismatch (the last
+    symbol needs no search).  That costs at most cells * (|alphabet| - 1)
+    pair searches, and gives the first mismatch of `enumerate_pictures`.
     """
     require_valid(a1)
     require_valid(a2)
@@ -236,35 +370,15 @@ def exact_equivalent_for_size(
         if missing:
             raise ValueError(f"alphabet symbols {sorted(missing)} outside automaton alphabet")
 
-    plan = scan_lines(size, d1)
-    idx1 = _indexed(a1)
-    idx2 = _indexed(a2)
-    pairs: set[tuple[int, int]] = {(idx1.start_mask, idx2.start_mask)}
-    for i, line in enumerate(plan.lines):
-        rev1 = a1.kind == BOUSTROPHEDON and i % 2 == 1
-        rev2 = a2.kind == BOUSTROPHEDON and i % 2 == 1
-        nxt: set[tuple[int, int]] = set()
-        words = list(itertools.product(symbols, repeat=len(line)))
-        cache1: dict[tuple[int, tuple[str, ...]], int] = {}
-        cache2: dict[tuple[int, tuple[str, ...]], int] = {}
-        for f1, f2 in pairs:
-            for word in words:
-                k1 = (f1, word)
-                if k1 not in cache1:
-                    cache1[k1] = _block_step(idx1, f1, word, rev1)
-                k2 = (f2, word)
-                if k2 not in cache2:
-                    cache2[k2] = _block_step(idx2, f2, word, rev2)
-                nxt.add((cache1[k1], cache2[k2]))
-        pairs = nxt
-    for f1, f2 in pairs:
-        if bool(f1 & idx1.finals_mask) != bool(f2 & idx2.finals_mask):
-            break
-    else:
+    search = _PairSearch(a1, a2, scan_lines(size, d1), symbols)
+    fixed: dict[Cell, str] = {}
+    if not search.mismatch(fixed):
         return None
-    # unequal: report the canonical smallest witness
-    single = SizeBound(frozenset({size}))
-    for p in enumerate_pictures(symbols, single):
-        if run(a1, p, d1) != run(a2, p, d2):
-            return p
-    raise AssertionError("pair search found a mismatch but enumeration did not")
+    for cell in cells(size):
+        for sym in symbols[:-1]:
+            fixed[cell] = sym
+            if search.mismatch(fixed):
+                break
+        else:
+            fixed[cell] = symbols[-1]
+    return picture_from_cells(size, fixed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hexgrid import Cell, HexSize, cell_count, offset, row_width
+from .hexgrid import Cell, HexSize
 from .symmetry import OP_NAMES, cell_map, check_op, invert, transform_size
 
 BOUSTROPHEDON = "boustrophedon"
@@ -118,7 +118,3 @@ def linearization_shape(size: HexSize, mode: DirectionMode) -> tuple[tuple[int, 
     plan = scan_lines(size, mode)
     return plan.line_lengths, plan.line_count
 
-
-def run_length(size: HexSize, mode: DirectionMode) -> int:
-    """Total symbols consumed by a run: every cell once plus one # per line."""
-    return cell_count(size) + scan_lines(size, mode).line_count

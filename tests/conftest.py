@@ -60,6 +60,33 @@ def m_none(kind=BOUSTROPHEDON, alphabet=("a", "b")):
                      a.value_rules, a.border_rules, a.start, [])
 
 
+def m_some(symbol="a", alphabet=("a", "b")):
+    """Accepts iff some cell holds `symbol`: states f0/b0 before it, f1/b1 after."""
+    vr = []
+    for s in alphabet:
+        vr += [("f1", s, "f1"), ("b1", s, "b1")]
+        vr += [("f0", s, "f1" if s == symbol else "f0"), ("b0", s, "b1" if s == symbol else "b0")]
+    br = [("f0", "b0"), ("f1", "b1"), ("b0", "f0"), ("b1", "f1")]
+    return automaton(BOUSTROPHEDON, ["f0", "f1"], ["b0", "b1"], alphabet,
+                     vr, br, "f0", ["f1", "b1"])
+
+
+def m_at_most(most, symbol="b", alphabet=("a", "b")):
+    """Accepts iff at most `most` cells hold `symbol`: states f<i>/b<i> count them."""
+    vr, br = [], []
+    for i in range(most + 1):
+        for side in "fb":
+            for s in alphabet:
+                if s != symbol:
+                    vr.append((f"{side}{i}", s, f"{side}{i}"))
+                elif i < most:
+                    vr.append((f"{side}{i}", s, f"{side}{i + 1}"))
+        br += [(f"f{i}", f"b{i}"), (f"b{i}", f"f{i}")]
+    fwd = [f"f{i}" for i in range(most + 1)]
+    bwd = [f"b{i}" for i in range(most + 1)]
+    return automaton(BOUSTROPHEDON, fwd, bwd, alphabet, vr, br, "f0", fwd + bwd)
+
+
 def m_parity(alphabet=("a",)):
     """Accepts iff the number of cells read is even."""
     vr = []

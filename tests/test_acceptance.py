@@ -361,3 +361,27 @@ def test_criterion_12_conversion_lower_bound_certificate():
         assert not accepts(x1, y2) or not accepts(x2, y1), (x1, x2)
     _report(12, time.time() - start, 120,
             f"{len(pairs)} fooling pairs > 2*{n}^2+1 = {2 * n**2 + 1}")
+
+
+def test_criterion_13_exact_gate_to_side_4():
+    """Criteria 6 and 7's constructions, confirmed by the exact oracle.
+
+    The same seeded pools as criteria 6 and 7, at every size with max side
+    at most 4 (64 sizes, up to 37 cells), where enumeration cannot reach.
+    """
+    start = time.time()
+    sizes = _sizes_with_max_side(4)
+    assert len(sizes) == 64
+    rng = random.Random(606)
+    for i in range(50):
+        a = random_ghbfa(rng, max_per_partition=4)
+        d = determinize(a)
+        for size in sizes:
+            assert exact_equivalent_for_size(a, CB, d, CB, size) is None, (i, size)
+    rng = random.Random(707)
+    for i in range(30):
+        a = random_ghbfa(rng, max_per_partition=3)
+        conv = hbfa_to_hrfa(a)
+        for size in sizes:
+            assert exact_equivalent_for_size(a, CB, conv, CR, size) is None, (i, size)
+    _report(13, time.time() - start, 60, "50 determinizations + 30 conversions x 64 sizes")

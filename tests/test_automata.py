@@ -105,8 +105,24 @@ def test_run_rejects_foreign_symbols_and_kind_mismatch():
 def test_run_requires_valid_automaton():
     broken = automaton(BOUSTROPHEDON, ["f"], ["b"], ["a"],
                        [("f", "a", "b")], [], "f", ["f"])
+    # validation runs once per automaton, but every call still raises
+    for _ in range(3):
+        with pytest.raises(InvalidAutomatonError):
+            run_canonical(broken, make_uniform(HexSize(1, 1, 1), "a"))
     with pytest.raises(InvalidAutomatonError):
-        run_canonical(broken, make_uniform(HexSize(1, 1, 1), "a"))
+        determinize(broken)
+
+
+def test_indexed_automaton_is_collected_with_its_last_reference():
+    import gc
+    import weakref
+
+    a = m_parity(alphabet=("a", "b"))
+    assert run_canonical(a, make_uniform(HexSize(1, 2, 2), "a"))
+    alive = weakref.ref(a)
+    del a
+    gc.collect()
+    assert alive() is None
 
 
 def test_trace_step_count_and_flags():

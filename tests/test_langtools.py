@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hexscan import (
@@ -23,7 +25,7 @@ from hexscan.langtools import (
 )
 from hexscan.transforms import hbfa_to_hrfa
 
-from conftest import m_all, m_none, m_parity, random_ghbfa, random_ghrfa
+from conftest import m_all, m_at_most, m_none, m_parity, m_some, random_ghbfa, random_ghrfa
 
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
@@ -84,6 +86,13 @@ def test_accepted_set_matches_per_picture_runs(rng):
         assert sample.members == frozenset(expect)
 
 
+def test_accepted_set_large_size_does_not_recurse():
+    # 1,141 cells and 39 border reads: deeper than the default recursion limit
+    size = HexSize(20, 20, 20)
+    sample = accepted_set(m_all(alphabet=("a",)), CB, ["a"], SizeBound(frozenset({size})))
+    assert sample.members == frozenset({make_uniform(size, "a")})
+
+
 def test_accepted_set_parity_sizes():
     bound = SizeBound.max_side(2)
     sample = accepted_set(m_parity(), CB, ["a"], bound)
@@ -132,6 +141,57 @@ def test_exact_oracle_agrees_with_enumeration(rng):
         if exact is not None:
             # both report the canonical smallest witness
             assert picture_sort_key(exact) == picture_sort_key(brute)
+
+
+def _sizes_up_to_cells(most):
+    r = range(1, most + 1)
+    return [s for s in (HexSize(l, m, n) for l in r for m in r for n in r)
+            if cell_count(s) <= most]
+
+
+def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
+    # verdict and identical smallest witness, for every kind pairing and
+    # every size of at most 13 cells
+    from hexscan import DirectionMode, determinize
+
+    # sparse languages keep the enumeration cheap at 13 cells
+    boustrophedon = [m_at_most(0), m_at_most(1), m_at_most(2)]
+    for _ in range(3):
+        a = random_ghbfa(rng, max_per_partition=2)
+        boustrophedon += [a, determinize(a)]
+    returning = [hbfa_to_hrfa(a) for a in boustrophedon[:5]]
+    returning += [random_ghrfa(rng, max_states=2) for _ in range(3)]
+    pools = {BOUSTROPHEDON: boustrophedon, RETURNING: returning}
+    kinds = [(BOUSTROPHEDON, BOUSTROPHEDON), (BOUSTROPHEDON, RETURNING),
+             (RETURNING, BOUSTROPHEDON), (RETURNING, RETURNING)]
+    unequal = 0
+    for size in _sizes_up_to_cells(13):
+        single = SizeBound(frozenset({size}))
+        for (k1, k2), element in itertools.product(kinds, ("R0", "r1", "R3")):
+            a1, a2 = rng.choice(pools[k1]), rng.choice(pools[k2])
+            d1, d2 = DirectionMode(k1, element), DirectionMode(k2, element)
+            exact = exact_equivalent_for_size(a1, d1, a2, d2, size)
+            assert exact == bounded_equivalent(a1, d1, a2, d2, AB, single), (
+                size, k1, k2, element)
+            unequal += exact is not None
+    assert unequal > 100
+
+
+@pytest.mark.parametrize("side", [4, 8])
+def test_exact_oracle_witness_without_enumeration(side, monkeypatch):
+    import time
+
+    from hexscan import langtools
+
+    def refuse(*args):
+        raise AssertionError("the exact oracle enumerated pictures")
+
+    monkeypatch.setattr(langtools, "enumerate_pictures", refuse)
+    size = HexSize(side, side, side)
+    start = time.perf_counter()
+    w = exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size)
+    assert time.perf_counter() - start < 1.0
+    assert w == make_uniform(size, "b")
 
 
 def test_exact_oracle_cross_kind():
