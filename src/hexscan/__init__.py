@@ -34,7 +34,6 @@ from .scan import (
     RETURNING,
     ScanPlan,
     canonical_mode,
-    linearization_shape,
     modes_for_kind,
     parse_direction,
     scan_lines,
@@ -43,7 +42,6 @@ from .automata import (
     HexAutomaton,
     InvalidAutomatonError,
     RunTrace,
-    accepts_any_direction,
     automaton,
     determinize,
     is_deterministic,
@@ -54,9 +52,6 @@ from .automata import (
     validate,
 )
 from .transforms import (
-    ConstructionReport,
-    build_report,
-    canonicalize_direction,
     expected_output_states,
     family_normalizer,
     hbfa_to_hrfa,

@@ -28,7 +28,6 @@ from .scan import (
     RETURNING,
     ScanPlan,
     canonical_mode,
-    modes_for_kind,
     parse_direction,
     scan_lines,
 )
@@ -74,17 +73,22 @@ class HexAutomaton:
     def _indexed(self) -> "IndexedAutomaton":
         names = tuple(sorted(self.states))
         index = {name: i for i, name in enumerate(names)}
-        value: dict[tuple[int, str], int] = {}
+        value = {sym: [0] * len(names) for sym in self.alphabet}
         for p, sym, q in self.value_rules:
-            key = (index[p], sym)
-            value[key] = value.get(key, 0) | (1 << index[q])
-        border: dict[int, int] = {}
+            value[sym][index[p]] |= 1 << index[q]
+        border = [0] * len(names)
         for p, q in self.border_rules:
-            border[index[p]] = border.get(index[p], 0) | (1 << index[q])
+            border[index[p]] |= 1 << index[q]
         finals_mask = 0
         for f in self.finals:
             finals_mask |= 1 << index[f]
-        return IndexedAutomaton(names, value, border, 1 << index[self.start], finals_mask)
+        return IndexedAutomaton(
+            names,
+            {sym: tuple(row) for sym, row in value.items()},
+            tuple(border),
+            1 << index[self.start],
+            finals_mask,
+        )
 
 
 def automaton(
@@ -172,11 +176,14 @@ def is_deterministic(a: HexAutomaton) -> bool:
 
 
 class IndexedAutomaton(NamedTuple):
-    """Rule tables over bit-indexed states; frontiers are int bitmasks."""
+    """Rule tables over bit-indexed states; frontiers are int bitmasks.
+
+    `value[symbol][p]` and `border[p]` are the successor masks of state p.
+    """
 
     names: tuple[str, ...]
-    value: dict[tuple[int, str], int]
-    border: dict[int, int]
+    value: dict[str, tuple[int, ...]]
+    border: tuple[int, ...]
     start_mask: int
     finals_mask: int
 
@@ -189,24 +196,14 @@ class IndexedAutomaton(NamedTuple):
         return tuple(sorted(out))
 
 
-def _step_value(idx: IndexedAutomaton, frontier: int, symbol: str) -> int:
-    nxt = 0
-    value = idx.value
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        nxt |= value.get((low.bit_length() - 1, symbol), 0)
-    return nxt
-
-
-def _step_border(idx: IndexedAutomaton, frontier: int) -> int:
-    nxt = 0
-    border = idx.border
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        nxt |= border.get(low.bit_length() - 1, 0)
-    return nxt
+def _union(rows: tuple[int, ...], mask: int) -> int:
+    """Union of rows[p] over the states p in mask: one step of a frontier."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        acc |= rows[low.bit_length() - 1]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -217,9 +214,7 @@ class TraceStep:
     symbol: str
     cell: Cell | None
     mode_flag: str
-    states_before: tuple[str, ...]
     states_after: tuple[str, ...]
-    erased: int
 
 
 @dataclass(frozen=True)
@@ -237,9 +232,8 @@ def run(
 ):
     """Run the automaton over a picture; returns bool, or (bool, RunTrace).
 
-    Boustrophedon runs flip orientation and partition at every border read
-    (odd-numbered lines are consumed in reverse); returning runs consume all
-    lines in plan orientation.
+    Each line is consumed in the plan's reading order, `b` flagged where the
+    plan reads it backwards, and followed by one border read.
     """
     require_valid(a)
     if mode is None:
@@ -250,36 +244,22 @@ def run(
     if extra:
         raise ValueError(f"picture symbols outside automaton alphabet: {sorted(extra)}")
     idx = a._indexed
+    value, border = idx.value, idx.border
     plan = scan_lines(picture.size, mode)
     frontier = idx.start_mask
-    steps: list[TraceStep] = [] if trace else None  # type: ignore[assignment]
-    position = 0
-    erased = 0
+    steps: list[TraceStep] = []
     rows = picture.rows
     lcap = picture.size.l - 1
-    for i, line in enumerate(plan.lines):
-        backward = a.kind == BOUSTROPHEDON and i % 2 == 1
+    for line, backward in zip(plan.reading, plan.backward):
         flag = "b" if backward else "f"
-        order = reversed(line) if backward else line
-        for cell in order:
+        for cell in line:
             symbol = rows[cell.r][cell.q + min(cell.r, lcap)]
-            nxt = _step_value(idx, frontier, symbol)
-            erased += 1
+            frontier = _union(value[symbol], frontier)
             if trace:
-                steps.append(
-                    TraceStep(position, symbol, cell, flag,
-                              idx.to_states(frontier), idx.to_states(nxt), erased)
-                )
-            frontier = nxt
-            position += 1
-        nxt = _step_border(idx, frontier)
+                steps.append(TraceStep(len(steps), symbol, cell, flag, idx.to_states(frontier)))
+        frontier = _union(border, frontier)
         if trace:
-            steps.append(
-                TraceStep(position, BORDER_SYMBOL, None, flag,
-                          idx.to_states(frontier), idx.to_states(nxt), erased)
-            )
-        frontier = nxt
-        position += 1
+            steps.append(TraceStep(len(steps), BORDER_SYMBOL, None, flag, idx.to_states(frontier)))
     accepted = bool(frontier & idx.finals_mask)
     if trace:
         return accepted, RunTrace(plan, tuple(steps), accepted)
@@ -290,65 +270,58 @@ def run_canonical(a: HexAutomaton, picture: HexPicture, trace: bool = False):
     return run(a, picture, canonical_mode(a.kind), trace=trace)
 
 
-def accepts_any_direction(
-    a: HexAutomaton, picture: HexPicture, modes=None
-) -> bool:
-    if modes is None:
-        modes = modes_for_kind(a.kind)
-    return any(run(a, picture, mode) for mode in modes)
-
-
-def _subset_name(members: tuple[str, ...]) -> str:
-    return "{" + "+".join(members) + "}"
-
-
 def determinize(a: HexAutomaton) -> HexAutomaton:
     """Subset construction, applied inside each partition.
 
     Forward subsets step to forward subsets on symbols and to backward
     subsets on `#` (and vice versa), so rule typing survives.  Only nonempty
     reachable subsets are kept; the result is deterministic and accepts the
-    same pictures under every direction mode.
+    same pictures under every direction mode.  A subset is named by its
+    members joined with `+` in braces; if two reachable subsets get the same
+    name (a state name containing `+`), ValueError names both.
     """
     require_valid(a)
     idx = a._indexed
-    start = idx.start_mask
-    forward_subsets: set[int] = set()
-    backward_subsets: set[int] = set()
-    value_rules: set[ValueRule] = set()
-    border_rules: set[BorderRule] = set()
-    pending = [(start, True)]
-    seen: set[tuple[int, bool]] = set()
+    flips = a.kind == BOUSTROPHEDON
+    symbols = sorted(a.alphabet)
+    is_forward = {idx.start_mask: True}  # every reachable subset, by partition
+    value_steps: list[tuple[int, str, int]] = []
+    border_steps: list[tuple[int, int]] = []
+    pending = [idx.start_mask]
     while pending:
-        subset, is_forward = pending.pop()
-        if (subset, is_forward) in seen:
-            continue
-        seen.add((subset, is_forward))
-        (forward_subsets if is_forward else backward_subsets).add(subset)
-        name = _subset_name(idx.to_states(subset))
-        for sym in sorted(a.alphabet):
-            nxt = _step_value(idx, subset, sym)
+        subset = pending.pop()
+        for sym in symbols:
+            nxt = _union(idx.value[sym], subset)
             if nxt:
-                value_rules.add((name, sym, _subset_name(idx.to_states(nxt))))
-                pending.append((nxt, is_forward))
-        nxt = _step_border(idx, subset)
+                value_steps.append((subset, sym, nxt))
+                if nxt not in is_forward:
+                    is_forward[nxt] = is_forward[subset]
+                    pending.append(nxt)
+        nxt = _union(idx.border, subset)
         if nxt:
-            border_rules.add((name, _subset_name(idx.to_states(nxt))))
-            pending.append((nxt, not is_forward if a.kind == BOUSTROPHEDON else True))
-    finals = {
-        _subset_name(idx.to_states(s))
-        for s in forward_subsets | backward_subsets
-        if s & idx.finals_mask
-    }
+            border_steps.append((subset, nxt))
+            if nxt not in is_forward:
+                is_forward[nxt] = not is_forward[subset] if flips else True
+                pending.append(nxt)
+    names: dict[int, str] = {}
+    owners: dict[str, int] = {}
+    for subset in is_forward:
+        name = names[subset] = "{" + "+".join(idx.to_states(subset)) + "}"
+        other = owners.setdefault(name, subset)
+        if other != subset:
+            raise ValueError(
+                f"subsets {idx.to_states(other)} and {idx.to_states(subset)} "
+                f"would both be named {name!r}"
+            )
     return HexAutomaton(
         kind=a.kind,
-        forward_states=frozenset(_subset_name(idx.to_states(s)) for s in forward_subsets),
-        backward_states=frozenset(_subset_name(idx.to_states(s)) for s in backward_subsets),
+        forward_states=frozenset(names[s] for s, fwd in is_forward.items() if fwd),
+        backward_states=frozenset(names[s] for s, fwd in is_forward.items() if not fwd),
         alphabet=a.alphabet,
-        value_rules=frozenset(value_rules),
-        border_rules=frozenset(border_rules),
-        start=_subset_name(idx.to_states(start)),
-        finals=frozenset(finals),
+        value_rules=frozenset((names[p], sym, names[q]) for p, sym, q in value_steps),
+        border_rules=frozenset((names[p], names[q]) for p, q in border_steps),
+        start=names[idx.start_mask],
+        finals=frozenset(names[s] for s in is_forward if s & idx.finals_mask),
     )
 
 

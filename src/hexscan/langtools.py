@@ -37,8 +37,8 @@ from .hexgrid import (
     serialize_picture,
 )
 from .symmetry import apply_op, check_op, transform_size
-from .automata import HexAutomaton, _step_border, _step_value, require_valid
-from .scan import BOUSTROPHEDON, DirectionMode, scan_lines
+from .automata import HexAutomaton, _union, require_valid
+from .scan import DirectionMode, ScanPlan, scan_lines
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,6 @@ def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[He
             yield HexPicture(size, tuple(rows))
 
 
-def _consumption_cells(a_kind: str, plan) -> list:
-    order = []
-    for i, line in enumerate(plan.lines):
-        if a_kind == BOUSTROPHEDON and i % 2 == 1:
-            order.extend(reversed(line))
-        else:
-            order.extend(line)
-    return order
-
-
 def _accepted_words(
     a: HexAutomaton, size: HexSize, d: DirectionMode, symbols: tuple[str, ...]
 ) -> tuple[list, list[tuple[str, ...]]]:
@@ -125,9 +115,10 @@ def _accepted_words(
     Returns (cells in consumption order, accepted words).
     """
     idx = a._indexed
+    rows = [(sym, idx.value[sym]) for sym in symbols]
     plan = scan_lines(size, d)
     borders: list[bool] = []
-    for line in plan.lines:
+    for line in plan.reading:
         borders.extend([False] * len(line))
         borders.append(True)
     # edges[i][frontier]: the (symbol, next frontier) steps out of position
@@ -138,12 +129,12 @@ def _accepted_words(
         out: dict[int, list[tuple[str | None, int]]] = {}
         for frontier in layer:
             if border:
-                nxt = _step_border(idx, frontier)
+                nxt = _union(idx.border, frontier)
                 out[frontier] = [(None, nxt)] if nxt else []
             else:
                 steps = out[frontier] = []
-                for sym in symbols:
-                    nxt = _step_value(idx, frontier, sym)
+                for sym, succ in rows:
+                    nxt = _union(succ, frontier)
                     if nxt:
                         steps.append((sym, nxt))
         edges.append(out)
@@ -162,7 +153,8 @@ def _accepted_words(
             if acc:
                 before[frontier] = tuple(acc)
         suffixes = before
-    return _consumption_cells(a.kind, plan), list(suffixes.get(idx.start_mask, ()))
+    order = [cell for line in plan.reading for cell in line]
+    return order, list(suffixes.get(idx.start_mask, ()))
 
 
 def accepted_set(
@@ -219,16 +211,6 @@ def bounded_equivalent(
     return min(diff, key=picture_sort_key)
 
 
-def _union(rows: tuple[int, ...], mask: int) -> int:
-    """Union of rows[q] over the states q in mask."""
-    acc = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        acc |= rows[low.bit_length() - 1]
-    return acc
-
-
 class _Stepper:
     """One automaton's memoized steps on frontiers and on line relations.
 
@@ -249,7 +231,7 @@ class _Stepper:
         key = (frontier, symbol)
         nxt = self._value.get(key)
         if nxt is None:
-            nxt = self._value[key] = _step_value(self.idx, frontier, symbol)
+            nxt = self._value[key] = _union(self.idx.value[symbol], frontier)
         return nxt
 
     def relation(self, rel: tuple[int, tuple[int, ...]], symbol: str):
@@ -258,10 +240,8 @@ class _Stepper:
         key = (rows, symbol)
         nxt = self._relation.get(key)
         if nxt is None:
-            value = self.idx.value
-            nxt = self._relation[key] = tuple(
-                _union(rows, value.get((p, symbol), 0)) for p in range(len(rows))
-            )
+            succ = self.idx.value[symbol]
+            nxt = self._relation[key] = tuple(_union(rows, mask) for mask in succ)
         return start, nxt
 
     def line_end(self, x) -> int:
@@ -271,7 +251,7 @@ class _Stepper:
             x = _union(rows, start)
         nxt = self._border.get(x)
         if nxt is None:
-            nxt = self._border[x] = _step_border(self.idx, x)
+            nxt = self._border[x] = _union(self.idx.border, x)
         return nxt
 
 
@@ -285,19 +265,19 @@ class _PairSearch:
     instead.  Pairs are deduplicated after every cell.
     """
 
-    def __init__(self, a1: HexAutomaton, a2: HexAutomaton, plan, symbols: tuple[str, ...]):
+    def __init__(self, a1: HexAutomaton, a2: HexAutomaton, plans: tuple[ScanPlan, ScanPlan],
+                 symbols: tuple[str, ...]):
         self.sides = (_Stepper(a1), _Stepper(a2))
         self.symbols = symbols
         carrier = 0 if len(a1.states) <= len(a2.states) else 1
+        reader = plans[1 - carrier]
         # (cells in reading order, index of the relation carrier or None)
         self.lines = []
-        for i, line in enumerate(plan.lines):
-            rev = [a.kind == BOUSTROPHEDON and i % 2 == 1 for a in (a1, a2)]
-            if rev[0] == rev[1]:
-                self.lines.append((line[::-1] if rev[0] else line, None))
+        for i, order in enumerate(plans[0].reading):
+            if plans[0].backward[i] == plans[1].backward[i]:
+                self.lines.append((order, None))
             else:
-                reader = 1 - carrier
-                self.lines.append((line[::-1] if rev[reader] else line, carrier))
+                self.lines.append((reader.reading[i], carrier))
 
     def mismatch(self, fixed: dict[Cell, str]) -> bool:
         """True iff exactly one automaton accepts some picture that agrees with `fixed`."""
@@ -370,7 +350,7 @@ def exact_equivalent_for_size(
         if missing:
             raise ValueError(f"alphabet symbols {sorted(missing)} outside automaton alphabet")
 
-    search = _PairSearch(a1, a2, scan_lines(size, d1), symbols)
+    search = _PairSearch(a1, a2, (scan_lines(size, d1), scan_lines(size, d2)), symbols)
     fixed: dict[Cell, str] = {}
     if not search.mismatch(fixed):
         return None

@@ -8,7 +8,9 @@ so scanning a picture in mode g visits the same symbols, in the same order,
 as scanning the g-image canonically.
 
 Mode codes are `B:<op>` (boustrophedon) and `R:<op>` (returning), 24 total.
-The two kinds share plan geometry; only the run semantics differ.
+The two kinds share plan geometry and differ only in reading orientation,
+which `scan_lines` alone decides: a boustrophedon mode reads every odd line
+backwards, a returning mode reads every line forwards.
 """
 
 from __future__ import annotations
@@ -68,10 +70,16 @@ ALL_MODES: tuple[DirectionMode, ...] = modes_for_kind(BOUSTROPHEDON) + modes_for
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """An ordered decomposition of a hexagon's cells into straight lines."""
+    """An ordered decomposition of a hexagon's cells into straight lines.
+
+    `lines` is the plan geometry, shared by both scanner kinds.  A run reads
+    line i as `reading[i]`: the line reversed when `backward[i]`, else as is.
+    """
 
     size: HexSize
     lines: tuple[tuple[Cell, ...], ...]
+    backward: tuple[bool, ...]
+    reading: tuple[tuple[Cell, ...], ...]
 
     @property
     def line_count(self) -> int:
@@ -97,24 +105,20 @@ def _canonical_lines(size: HexSize) -> tuple[tuple[Cell, ...], ...]:
 
 @lru_cache(maxsize=4096)
 def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
-    """Scan plan for the given size and mode (plan geometry ignores kind)."""
-    if mode.is_canonical:
-        return ScanPlan(size, _canonical_lines(size))
-    g = mode.element
-    transformed = transform_size(g, size)
-    back = cell_map(invert(g), transformed)
-    lines = tuple(
-        tuple(back[c] for c in line) for line in _canonical_lines(transformed)
-    )
-    return ScanPlan(size, lines)
+    """Scan plan for the given size and mode.
 
-
-def linearization_shape(size: HexSize, mode: DirectionMode) -> tuple[tuple[int, ...], int]:
-    """(line lengths, number of border reads) of a run at this size and mode.
-
-    A run consumes the lines' cells with one trailing border symbol per line,
-    so the consumed string has shape a^w1 # a^w2 # ... # a^wK #.
+    The geometry ignores the kind; the reading orientation of every line is
+    decided here and nowhere else.
     """
-    plan = scan_lines(size, mode)
-    return plan.line_lengths, plan.line_count
-
+    if mode.is_canonical:
+        lines = _canonical_lines(size)
+    else:
+        g = mode.element
+        transformed = transform_size(g, size)
+        back = cell_map(invert(g), transformed)
+        lines = tuple(
+            tuple(back[c] for c in line) for line in _canonical_lines(transformed)
+        )
+    backward = tuple(mode.kind == BOUSTROPHEDON and i % 2 == 1 for i in range(len(lines)))
+    reading = tuple(line[::-1] if b else line for line, b in zip(lines, backward))
+    return ScanPlan(size, lines, backward, reading)

@@ -27,19 +27,8 @@ returning automaton has at least (n/2)^3 states (729 > 2*18^2+1 at n = 18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .hexgrid import HexSize
 from .automata import HexAutomaton, require_valid
-from .scan import BOUSTROPHEDON, DirectionMode, RETURNING
-
-
-@dataclass(frozen=True)
-class ConstructionReport:
-    construction: str
-    input_states: int
-    output_states: int
-    verified_bound: HexSize | None = None
+from .scan import BOUSTROPHEDON, RETURNING
 
 
 def expected_output_states(construction: str, input_states: int) -> int:
@@ -54,17 +43,30 @@ def expected_output_states(construction: str, input_states: int) -> int:
     raise ValueError(f"unknown construction {construction!r}")
 
 
-def build_report(
-    construction: str,
-    a_in: HexAutomaton,
-    a_out: HexAutomaton,
-    verified_bound: HexSize | None = None,
-) -> ConstructionReport:
-    return ConstructionReport(
-        construction=construction,
-        input_states=len(a_in.states),
-        output_states=len(a_out.states),
-        verified_bound=verified_bound,
+def _returning(
+    construction: str, a: HexAutomaton, states: set[str], value_rules, border_rules,
+    start: str, finals: set[str],
+) -> HexAutomaton:
+    """The construction's output, refused if two of its state names coincide.
+
+    Output names paste input names together between `|` separators, so an
+    input name containing `|` can render two different states alike.
+    """
+    expected = expected_output_states(construction, len(a.states))
+    if len(states) != expected:
+        raise ValueError(
+            f"{construction}: {expected} states render as only {len(states)} distinct "
+            "names; rename the input states that contain '|'"
+        )
+    return HexAutomaton(
+        kind=RETURNING,
+        forward_states=frozenset(states),
+        backward_states=frozenset(),
+        alphabet=a.alphabet,
+        value_rules=frozenset(value_rules),
+        border_rules=frozenset(border_rules),
+        start=start,
+        finals=frozenset(finals),
     )
 
 
@@ -123,16 +125,7 @@ def hbfa_to_hrfa(a: HexAutomaton) -> HexAutomaton:
     finals = {_p2(e, y, h) for e in a.finals for y in states for h in states}
     finals.update(_p1(x, g) for x in a.finals for g in states)
 
-    return HexAutomaton(
-        kind=RETURNING,
-        forward_states=frozenset(all_states),
-        backward_states=frozenset(),
-        alphabet=a.alphabet,
-        value_rules=frozenset(value_rules),
-        border_rules=frozenset(border_rules),
-        start=start,
-        finals=frozenset(finals),
-    )
+    return _returning("hbfa-to-hrfa", a, all_states, value_rules, border_rules, start, finals)
 
 
 def _t(entry: str, y: str, h: str) -> str:
@@ -169,16 +162,7 @@ def mirror_within_lines(a: HexAutomaton) -> HexAutomaton:
     all_states.update(_t(e, y, h) for e in states for y in states for h in states)
     finals = {_t(e, y, h) for e in a.finals for y in states for h in states}
 
-    return HexAutomaton(
-        kind=RETURNING,
-        forward_states=frozenset(all_states),
-        backward_states=frozenset(),
-        alphabet=a.alphabet,
-        value_rules=frozenset(value_rules),
-        border_rules=frozenset(border_rules),
-        start=start,
-        finals=frozenset(finals),
-    )
+    return _returning("mirror-within-lines", a, all_states, value_rules, border_rules, start, finals)
 
 
 def _u(t: str, y: str) -> str:
@@ -232,16 +216,7 @@ def mirror_line_order(a: HexAutomaton) -> HexAutomaton:
     all_states.update(_v(t, y, p) for t in states for y in states for p in states)
     finals = {_v(t, y, a.start) for t in states for y in states}
 
-    return HexAutomaton(
-        kind=RETURNING,
-        forward_states=frozenset(all_states),
-        backward_states=frozenset(),
-        alphabet=a.alphabet,
-        value_rules=frozenset(value_rules),
-        border_rules=frozenset(border_rules),
-        start=start,
-        finals=frozenset(finals),
-    )
+    return _returning("mirror-line-order", a, all_states, value_rules, border_rules, start, finals)
 
 
 NORMALIZER_TARGETS = ("R0", "r0", "r3", "R3")
@@ -264,16 +239,3 @@ def family_normalizer(a: HexAutomaton, target: str) -> HexAutomaton:
     if target == "R3":
         return mirror_line_order(mirror_within_lines(a))
     raise ValueError(f"unsupported normalizer target {target!r}; expected one of {NORMALIZER_TARGETS}")
-
-
-def canonicalize_direction(a: HexAutomaton, d: DirectionMode) -> tuple[HexAutomaton, str]:
-    """Reduce a mode-d run to a canonical run on transformed pictures.
-
-    Running `a` canonically on the d.element-image of a picture accepts
-    exactly the mode-d language, so the pair (a, d.element) is the whole
-    answer.
-    """
-    require_valid(a)
-    if d.kind != a.kind:
-        raise ValueError(f"mode kind {d.kind} does not match automaton kind {a.kind}")
-    return a, d.element

@@ -97,6 +97,31 @@ def m_parity(alphabet=("a",)):
                      vr, br, "fe", ["fe", "be"])
 
 
+def m_plus_named():
+    """Returning machine whose subsets {x,y} and {x+y} share the name `{x+y}`.
+
+    It rejects the size-(1,1,1) picture `b`: `x+y` has no border rule.
+    """
+    return automaton(RETURNING, ["s", "x", "y", "x+y", "f"], [], ("a", "b"),
+                     [("s", "a", "x"), ("s", "a", "y"), ("s", "b", "x+y")],
+                     [("x", "f")], "s", ["f"])
+
+
+def m_pipe_named():
+    """Boustrophedon machine whose state names contain the separator `|`."""
+    return automaton(BOUSTROPHEDON, ["s", "a", "a|b"], ["b|c", "c", "b"], ("0", "1"),
+                     [("s", "0", "a"), ("a", "1", "a|b"), ("a|b", "0", "s"),
+                      ("b|c", "1", "c"), ("c", "0", "b")],
+                     [("a|b", "b|c"), ("s", "c"), ("b", "s"), ("c", "a")], "s", ["s", "b"])
+
+
+def r_pipe_named():
+    """Returning machine whose state names contain the separator `|`."""
+    return automaton(RETURNING, ["a", "a|b", "b"], [], ("0", "1"),
+                     [("a", "0", "a|b"), ("a|b", "1", "b"), ("b", "0", "a")],
+                     [("b", "a"), ("a|b", "a")], "a", ["a"])
+
+
 def random_ghbfa(rng: random.Random, max_per_partition=3, alphabet=("a", "b")):
     nf = rng.randint(1, max_per_partition)
     nb = rng.randint(1, max_per_partition)

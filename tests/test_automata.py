@@ -6,8 +6,8 @@ from hexscan import (
     BOUSTROPHEDON,
     DirectionMode,
     HexSize,
+    ALL_MODES,
     RETURNING,
-    accepts_any_direction,
     apply_op,
     automaton,
     canonical_mode,
@@ -27,7 +27,7 @@ from hexscan.automata import InvalidAutomatonError
 from hexscan.hexgrid import Cell, FormatError
 from hexscan.langtools import SizeBound, bounded_equivalent
 
-from conftest import m_all, m_none, m_parity, random_ghbfa, random_ghrfa
+from conftest import m_all, m_none, m_parity, m_plus_named, random_ghbfa, random_ghrfa
 
 
 def test_validate_ok():
@@ -84,8 +84,8 @@ def test_run_m_all_and_m_none():
     p = make_uniform(HexSize(2, 2, 2), "a")
     assert run_canonical(m_all(), p) is True
     assert run_canonical(m_none(), p) is False
-    assert accepts_any_direction(m_all(), p)
-    assert not accepts_any_direction(m_none(), p)
+    assert any(run(m_all(), p, m) for m in modes_for_kind(BOUSTROPHEDON))
+    assert not any(run(m_none(), p, m) for m in modes_for_kind(BOUSTROPHEDON))
 
 
 def test_run_parity():
@@ -139,6 +139,21 @@ def test_trace_step_count_and_flags():
     assert all(s.symbol == "#" for s in borders)
 
 
+def test_run_trace_follows_plan_reading_lines():
+    for size in (HexSize(2, 3, 2), HexSize(3, 2, 2)):
+        p = make_uniform(size, "a")
+        for mode in ALL_MODES:
+            plan = scan_lines(size, mode)
+            _, trace = run(m_all(kind=mode.kind), p, mode, trace=True)
+            cells, flags = [], []
+            for line, backward in zip(plan.reading, plan.backward):
+                cells += [*line, None]
+                flags += ["b" if backward else "f"] * (len(line) + 1)
+            assert [s.cell for s in trace.steps] == cells, mode.code
+            assert [s.mode_flag for s in trace.steps] == flags, mode.code
+            assert [s.position for s in trace.steps] == list(range(len(cells)))
+
+
 def test_returning_runs_never_flip():
     r = m_all(kind=RETURNING)
     p = make_uniform(HexSize(2, 3, 2), "a")
@@ -175,7 +190,7 @@ def test_first_cell_sensitive_machine_varies_with_mode():
     results = {mode.code: run(a, p, mode) for mode in modes_for_kind(BOUSTROPHEDON)}
     assert results["B:R0"] is True
     assert any(results.values()) and not all(results.values())
-    assert accepts_any_direction(a, p)
+    assert any(run(a, p, m) for m in modes_for_kind(a.kind))
 
 
 def test_direction_coherence_small(rng):
@@ -240,6 +255,14 @@ def test_determinize_returning(rng):
         d = determinize(a)
         assert is_deterministic(d)
         assert bounded_equivalent(a, cr, d, cr, ["a", "b"], bound) is None
+
+
+def test_determinize_refuses_colliding_subset_names():
+    a = m_plus_named()
+    assert not run_canonical(a, make_uniform(HexSize(1, 1, 1), "b"))
+    # {x,y} and {x+y} would both be named {x+y}, merging their rules
+    with pytest.raises(ValueError, match=r"\('x', 'y'\) and \('x\+y',\).*'\{x\+y\}'"):
+        determinize(a)
 
 
 def test_serialize_parse_roundtrip(rng):

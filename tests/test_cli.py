@@ -17,7 +17,7 @@ from hexscan import (
 )
 from hexscan.cli import main
 
-from conftest import m_all, m_none, m_parity, random_ghbfa
+from conftest import m_all, m_none, m_parity, m_pipe_named, m_plus_named, random_ghbfa
 
 
 @pytest.fixture
@@ -180,6 +180,18 @@ def test_to_rfa_command(capsys, tmp_path):
     assert code == 0
     parsed, _ = parse_automaton(out)
     assert parsed.kind == "returning"
+
+
+@pytest.mark.parametrize("command, machine", [
+    ("determinize", m_plus_named),
+    ("to-rfa", m_pipe_named),
+])
+def test_colliding_state_names_exit_2(capsys, tmp_path, command, machine):
+    path = tmp_path / "a.hxa"
+    path.write_text(serialize_automaton(machine()))
+    code, out, err = run_cli(capsys, command, "--automaton", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_mirror_command(capsys, tmp_path):

@@ -6,12 +6,12 @@ from hexscan import (
     BOUSTROPHEDON,
     HexSize,
     RETURNING,
-    accepts_any_direction,
     apply_op,
     canonical_mode,
     cell_count,
     make_uniform,
     modes_for_kind,
+    run,
     serialize_picture,
 )
 from hexscan.langtools import (
@@ -177,6 +177,28 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
     assert unequal > 100
 
 
+def test_exact_oracle_witness_on_lines_read_in_opposite_orientations():
+    # rejects iff the first cell it reads on line 1, which it reads
+    # backwards, holds b: the witness pins exactly that cell
+    from hexscan import DirectionMode, automaton
+
+    first_read = automaton(BOUSTROPHEDON, ["s", "t"], ["u", "v"], AB,
+                           [("s", "a", "s"), ("s", "b", "s"), ("u", "a", "v"),
+                            ("v", "a", "v"), ("v", "b", "v"), ("t", "a", "t"), ("t", "b", "t")],
+                           [("s", "u"), ("v", "t"), ("t", "v")], "s", ["t", "v"])
+    small = m_all(kind=RETURNING)  # fewer states than first_read: it carries the relation
+    large = hbfa_to_hrfa(m_all())  # more states: first_read carries it
+    for size, element in itertools.product(
+            (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2)), ("R0", "r1")):
+        b, r = DirectionMode(BOUSTROPHEDON, element), DirectionMode(RETURNING, element)
+        single = SizeBound(frozenset({size}))
+        for other in (small, large):
+            for a1, d1, a2, d2 in ((first_read, b, other, r), (other, r, first_read, b)):
+                w = exact_equivalent_for_size(a1, d1, a2, d2, size)
+                assert w is not None and sorted(w.symbols()) == ["a", "b"]
+                assert w == bounded_equivalent(a1, d1, a2, d2, AB, single)
+
+
 @pytest.mark.parametrize("side", [4, 8])
 def test_exact_oracle_witness_without_enumeration(side, monkeypatch):
     import time
@@ -229,7 +251,7 @@ def test_union_over_modes_matches_any_direction(rng):
     for mode in modes_for_kind(BOUSTROPHEDON):
         union |= accepted_set(a, mode, AB, bound).members
     for p in enumerate_pictures(AB, bound):
-        assert (p in union) == accepts_any_direction(a, p)
+        assert (p in union) == any(run(a, p, m) for m in modes_for_kind(a.kind))
 
 
 def test_partitioned_verification_merges_by_union(rng):

@@ -8,7 +8,6 @@ from hexscan import (
     RETURNING,
     canonical_mode,
     cell_count,
-    linearization_shape,
     modes_for_kind,
     parse_direction,
     scan_lines,
@@ -92,15 +91,19 @@ def test_lines_are_straight_and_maximal(size):
             assert delta in {(0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, 1)}
 
 
-def test_linearization_shape():
-    lengths, borders = linearization_shape(HexSize(2, 2, 2), canonical_mode(RETURNING))
-    assert lengths == (2, 3, 2)
-    assert borders == 3
-
-
 def test_kinds_share_plan_geometry():
     for op in OP_NAMES:
         for size in (HexSize(2, 2, 2), HexSize(2, 3, 1)):
             b = scan_lines(size, DirectionMode(BOUSTROPHEDON, op))
             r = scan_lines(size, DirectionMode(RETURNING, op))
             assert b.lines == r.lines
+
+
+def test_plan_reads_odd_boustrophedon_lines_backwards():
+    for mode in ALL_MODES:
+        plan = scan_lines(HexSize(2, 3, 2), mode)
+        assert len(plan.backward) == len(plan.reading) == plan.line_count
+        for i, line in enumerate(plan.lines):
+            backward = mode.kind == BOUSTROPHEDON and i % 2 == 1
+            assert plan.backward[i] == backward
+            assert plan.reading[i] == (line[::-1] if backward else line)

@@ -3,7 +3,6 @@ import pytest
 from hexscan import (
     BOUSTROPHEDON,
     DirectionMode,
-    HexSize,
     RETURNING,
     automaton,
     canonical_mode,
@@ -13,8 +12,6 @@ from hexscan import (
 )
 from hexscan.langtools import SizeBound, accepted_set, bounded_equivalent, image_set
 from hexscan.transforms import (
-    build_report,
-    canonicalize_direction,
     expected_output_states,
     family_normalizer,
     hbfa_to_hrfa,
@@ -23,7 +20,15 @@ from hexscan.transforms import (
 )
 from hexscan.symmetry import OP_NAMES, is_rotation
 
-from conftest import m_all, m_none, m_parity, random_ghbfa, random_ghrfa
+from conftest import (
+    m_all,
+    m_none,
+    m_parity,
+    m_pipe_named,
+    r_pipe_named,
+    random_ghbfa,
+    random_ghrfa,
+)
 
 BOUND = SizeBound.max_side(2)
 CB = canonical_mode(BOUSTROPHEDON)
@@ -43,9 +48,6 @@ def test_hbfa_to_hrfa_validates_and_counts():
     assert validate(out) == []
     n = len(a.states)
     assert len(out.states) == expected_output_states("hbfa-to-hrfa", n) == n**3 + n**2 + 1
-    report = build_report("hbfa-to-hrfa", a, out)
-    assert report.input_states == n
-    assert report.output_states == len(out.states)
 
 
 def test_hbfa_to_hrfa_requires_boustrophedon():
@@ -97,9 +99,6 @@ def test_mirror_line_order_language(rng):
     assert validate(out) == []
     n = len(a.states)
     assert len(out.states) == expected_output_states("mirror-line-order", n)
-    report = build_report("mirror-line-order", a, out, verified_bound=HexSize(2, 2, 2))
-    assert report.output_states == len(out.states)
-    assert report.verified_bound == HexSize(2, 2, 2)
     assert bounded_equivalent(a, CR, out, CR, AB, BOUND, op="r3") is None
     for _ in range(10):
         a = random_ghrfa(rng)
@@ -135,14 +134,13 @@ def test_family_normalizer_dispatch(rng):
     assert bounded_equivalent(a, CR, r3both, CR, AB, BOUND, op="R3") is None
 
 
-def test_canonicalize_direction():
-    a = m_all()
-    out, op = canonicalize_direction(a, canonical_mode(BOUSTROPHEDON))
-    assert out is a and op == "R0"
-    out, op = canonicalize_direction(a, DirectionMode(BOUSTROPHEDON, "r3"))
-    assert op == "r3"
-    with pytest.raises(ValueError):
-        canonicalize_direction(a, canonical_mode(RETURNING))
+def test_constructions_refuse_colliding_state_names():
+    # 1[a|b|c] names both (a, b|c) and (a|b, c): 253 states, 236 names
+    with pytest.raises(ValueError, match="253 states render as only 236 distinct names"):
+        hbfa_to_hrfa(m_pipe_named())
+    for build in (mirror_within_lines, mirror_line_order, lambda a: family_normalizer(a, "R3")):
+        with pytest.raises(ValueError, match="distinct names"):
+            build(r_pipe_named())
 
 
 def test_closure_pipeline_all_group_elements(rng):
