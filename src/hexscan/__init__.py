@@ -57,6 +57,7 @@ from .transforms import (
     hbfa_to_hrfa,
     mirror_line_order,
     mirror_within_lines,
+    point_reflection,
 )
 from .langtools import (
     LanguageSample,

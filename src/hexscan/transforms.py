@@ -8,21 +8,26 @@ language relates to the input's in a stated way:
     read in reverse).
   * mirror_line_order: returning -> returning, r3-image (scan lines read in
     reverse order, orientation within lines kept).
+  * point_reflection: returning -> returning, R3-image (the 180-degree
+    rotation), by reversing the machine as an NFA in |Q| + 2 states.
   * family_normalizer: dispatch over the four ops {R0, r0, r3, R3} that fix
     the scan-line family.
 
-The reversed-line simulations use the classical mirror-image technique: a
-line read against the machine's processing order is checked by guessing the
-state at the far end and stepping the rule relation backwards, verifying the
-near end on the border read.  Carrying that off needs three registers per
-reversed line (the entry state to verify, the running backward-simulation
-state, and the guessed exit whose border successor seeds the next line), so
-reversed-line phases use state triples.  Cubic growth is needed in the worst
-case: acceptance criterion 12
-(`test_criterion_12_conversion_lower_bound_certificate`) builds boustrophedon
-machines with n/2 states per partition whose canonical returning
-linearizations carry (n/2)^3 fooling pairs, so every equivalent canonical-mode
-returning automaton has at least (n/2)^3 states (729 > 2*18^2+1 at n = 18).
+R3 reverses the whole consumption word, so it needs no simulation: the
+reversed NFA reads it.  r3 is that reversal after the within-line mirror.
+The two constructions that read a line against the input machine's
+processing order, hbfa_to_hrfa and mirror_within_lines, use the classical
+mirror-image technique: guess the state at the far end and step the rule
+relation backwards, verifying the near end on the border read.  Carrying
+that off needs three registers per reversed line (the entry state to verify,
+the running backward-simulation state, and the guessed exit whose border
+successor seeds the next line), so reversed-line phases use state triples.
+Cubic growth is needed in the worst case for the conversion: acceptance
+criterion 12 (`test_criterion_12_conversion_lower_bound_certificate`) builds
+boustrophedon machines with n/2 states per partition whose canonical
+returning linearizations carry (n/2)^3 fooling pairs, so every equivalent
+canonical-mode returning automaton has at least (n/2)^3 states
+(729 > 2*18^2+1 at n = 18).
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ def expected_output_states(construction: str, input_states: int) -> int:
     if construction == "mirror-within-lines":
         return n**3 + 1
     if construction == "mirror-line-order":
-        return n**3 + n**2 + 1
+        return n**3 + 3
+    if construction == "point-reflection":
+        return n + 2
     raise ValueError(f"unknown construction {construction!r}")
 
 
@@ -49,8 +56,9 @@ def _returning(
 ) -> HexAutomaton:
     """The construction's output, refused if two of its state names coincide.
 
-    Output names paste input names together between `|` separators, so an
-    input name containing `|` can render two different states alike.
+    hbfa_to_hrfa and mirror_within_lines paste input names together between
+    `|` separators, so an input name containing `|` can render two different
+    states alike.  point_reflection's names are injective and never collide.
     """
     expected = expected_output_states(construction, len(a.states))
     if len(states) != expected:
@@ -165,58 +173,43 @@ def mirror_within_lines(a: HexAutomaton) -> HexAutomaton:
     return _returning("mirror-within-lines", a, all_states, value_rules, border_rules, start, finals)
 
 
-def _u(t: str, y: str) -> str:
-    return f"u[{t}|{y}]"
+def _x(q: str) -> str:
+    return f"x[{q}]"
 
 
-def _v(t: str, y: str, pend: str) -> str:
-    return f"v[{t}|{y}|{pend}]"
+def point_reflection(a: HexAutomaton) -> HexAutomaton:
+    """Returning automaton whose language is the R3-image of the input's.
+
+    The input reads L1 # L2 # ... # LK #; the 180-degree rotation reads
+    LK^R # ... # L1^R #, the reversed word with its leading border moved to
+    the end.  So the input is reversed as an NFA: every rule is turned
+    around, a fresh start x0 takes the reversed last cell read of a run that
+    a border rule then carries into a final state, and one border rule from
+    the renamed input start reaches the fresh final xF.  Lines are never
+    empty, so the first cell read always comes from x0.  States: |Q| + 2.
+    """
+    require_valid(a)
+    if a.kind != RETURNING:
+        raise ValueError("input must be a returning automaton")
+    start, final = "x0", "xF"
+    last = {y for y, f in a.border_rules if f in a.finals}
+    value_rules = {(_x(q), sym, _x(p)) for p, sym, q in a.value_rules}
+    value_rules.update((start, sym, _x(p)) for p, sym, q in a.value_rules if q in last)
+    border_rules = {(_x(q), _x(p)) for p, q in a.border_rules}
+    border_rules.add((_x(a.start), final))
+    all_states = {start, final}
+    all_states.update(_x(q) for q in a.states)
+
+    return _returning("point-reflection", a, all_states, value_rules, border_rules, start, {final})
 
 
 def mirror_line_order(a: HexAutomaton) -> HexAutomaton:
     """Returning automaton whose language is the r3-image of the input's.
 
-    The input machine processes lines in the opposite order, so each line's
-    run segment is simulated forward from a guessed entry state, and the
-    guesses are chained: when a line ends, the previous line's guessed entry
-    must be a border successor of this line's final state.  The last pending
-    guess must be the input's start state, which the final states encode.
-    States: 1 start + |Q|^2 pairs (first line) + |Q|^3 triples.
+    r3 is the rotation R3 after the within-line mirror r0, so this is the
+    point reflection of `mirror_within_lines(a)`.  States: |Q|^3 + 3.
     """
-    require_valid(a)
-    if a.kind != RETURNING:
-        raise ValueError("input must be a returning automaton")
-    states = sorted(a.states)
-    start = "V0"
-    value_rules: set[tuple[str, str, str]] = set()
-    border_rules: set[tuple[str, str]] = set()
-
-    for p, sym, q in a.value_rules:
-        value_rules.add((start, sym, _u(p, q)))
-        for t in states:
-            value_rules.add((_u(t, p), sym, _u(t, q)))
-            for pend in states:
-                value_rules.add((_v(t, p, pend), sym, _v(t, q, pend)))
-
-    # first line's border: the input machine ends its run here, so its final
-    # border transition must reach a final state
-    for y, f in a.border_rules:
-        if f in a.finals:
-            for t in states:
-                for t2 in states:
-                    border_rules.add((_u(t, y), _v(t2, t2, t)))
-    # later lines: discharge the previous line's entry claim
-    for y, pend in a.border_rules:
-        for t in states:
-            for t2 in states:
-                border_rules.add((_v(t, y, pend), _v(t2, t2, t)))
-
-    all_states = {start}
-    all_states.update(_u(t, y) for t in states for y in states)
-    all_states.update(_v(t, y, p) for t in states for y in states for p in states)
-    finals = {_v(t, y, a.start) for t in states for y in states}
-
-    return _returning("mirror-line-order", a, all_states, value_rules, border_rules, start, finals)
+    return point_reflection(mirror_within_lines(a))
 
 
 NORMALIZER_TARGETS = ("R0", "r0", "r3", "R3")
@@ -237,5 +230,5 @@ def family_normalizer(a: HexAutomaton, target: str) -> HexAutomaton:
     if target == "r3":
         return mirror_line_order(a)
     if target == "R3":
-        return mirror_line_order(mirror_within_lines(a))
+        return point_reflection(a)
     raise ValueError(f"unsupported normalizer target {target!r}; expected one of {NORMALIZER_TARGETS}")

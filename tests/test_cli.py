@@ -195,17 +195,30 @@ def test_colliding_state_names_exit_2(capsys, tmp_path, command, machine):
 
 
 def test_mirror_command(capsys, tmp_path):
-    from hexscan import RETURNING, automaton
+    from hexscan import RETURNING, automaton, expected_output_states
 
-    a = automaton(RETURNING, ["q"], [], ["a"], [("q", "a", "q")],
-                  [("q", "q")], "q", ["q"])
-    src = tmp_path / "r.hxa"
-    src.write_text(serialize_automaton(a))
-    for target in ("r0", "r3", "R3"):
-        code, out, _ = run_cli(capsys, "mirror", "--target", target,
-                               "--automaton", str(src))
-        assert code == 0
-        parse_automaton(out)
+    one = automaton(RETURNING, ["q"], [], ["a"], [("q", "a", "q")],
+                    [("q", "q")], "q", ["q"])
+    # the number of a is divisible by 3
+    mod3 = automaton(RETURNING, ["z0", "z1", "z2"], [], ["a", "b"],
+                     [(f"z{i}", "a", f"z{(i + 1) % 3}") for i in range(3)]
+                     + [(f"z{i}", "b", f"z{i}") for i in range(3)],
+                     [(f"z{i}", f"z{i}") for i in range(3)], "z0", ["z0"])
+    sizes = {
+        "r0": ("mirror-within-lines", lambda n: n**3 + 1),
+        "r3": ("mirror-line-order", lambda n: n**3 + 3),
+        "R3": ("point-reflection", lambda n: n + 2),
+    }
+    for a in (one, mod3):
+        src = tmp_path / "r.hxa"
+        src.write_text(serialize_automaton(a))
+        n = len(a.states)
+        for target, (construction, count) in sizes.items():
+            code, out, _ = run_cli(capsys, "mirror", "--target", target,
+                                   "--automaton", str(src))
+            assert code == 0
+            built = len(parse_automaton(out)[0].states)
+            assert built == expected_output_states(construction, n) == count(n), (target, n)
 
 
 def test_enum_count_only(capsys):

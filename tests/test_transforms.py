@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from hexscan import (
     BOUSTROPHEDON,
     DirectionMode,
+    HexSize,
     RETURNING,
     automaton,
     canonical_mode,
@@ -10,13 +14,20 @@ from hexscan import (
     invert,
     validate,
 )
-from hexscan.langtools import SizeBound, accepted_set, bounded_equivalent, image_set
+from hexscan.langtools import (
+    SizeBound,
+    accepted_set,
+    bounded_equivalent,
+    exact_equivalent_for_size,
+    image_set,
+)
 from hexscan.transforms import (
     expected_output_states,
     family_normalizer,
     hbfa_to_hrfa,
     mirror_line_order,
     mirror_within_lines,
+    point_reflection,
 )
 from hexscan.symmetry import OP_NAMES, is_rotation
 
@@ -123,6 +134,44 @@ def test_mirror_composition_is_point_reflection(rng):
     assert compose("r3", "r0") == "R3"
 
 
+def test_mirror_compositions_exact_to_side_4():
+    # criterion 8's pool at every size with max side at most 4, by the exact
+    # oracle: the reversal undoes itself, and r3 = r0 then R3 = R3 then r0
+    rng = random.Random(808)
+    pool = [random_ghrfa(rng, max_states=3) for _ in range(30)]
+    sizes = [HexSize(*s) for s in itertools.product(range(1, 5), repeat=3)]
+    for i, a in enumerate(pool):
+        twice = point_reflection(point_reflection(a))
+        r3 = mirror_line_order(a)
+        other_order = mirror_within_lines(point_reflection(a))
+        for size in sizes:
+            assert exact_equivalent_for_size(a, CR, twice, CR, size) is None, (i, size)
+            assert exact_equivalent_for_size(r3, CR, other_order, CR, size) is None, (i, size)
+
+
+def _asymmetric_pool(op, seed):
+    """20 random returning machines whose language differs from its op-image at max side 2."""
+    rng = random.Random(seed)
+    kept = []
+    for _ in range(400):
+        a = random_ghrfa(rng, max_states=3)
+        if bounded_equivalent(a, CR, a, CR, AB, BOUND, op=op) is not None:
+            kept.append(a)
+            if len(kept) == 20:
+                return kept
+    raise AssertionError(f"400 draws gave only {len(kept)} machines unlike their {op} image")
+
+
+@pytest.mark.parametrize("op, build", [("R3", point_reflection), ("r3", mirror_line_order)])
+def test_mirror_pool_tells_mirror_from_identity(op, build):
+    # criterion 8's pool lets the identity pass on 25 of 30 machines; here
+    # every machine's language differs from its own image, so it cannot
+    for i, a in enumerate(_asymmetric_pool(op, seed=1808)):
+        assert bounded_equivalent(a, CR, build(a), CR, AB, BOUND, op=op) is None, i
+        identity = family_normalizer(a, "R0")
+        assert bounded_equivalent(a, CR, identity, CR, AB, BOUND, op=op) is not None, i
+
+
 def test_family_normalizer_dispatch(rng):
     a = random_ghrfa(rng)
     assert family_normalizer(a, "R0") is a
@@ -138,9 +187,15 @@ def test_constructions_refuse_colliding_state_names():
     # 1[a|b|c] names both (a, b|c) and (a|b, c): 253 states, 236 names
     with pytest.raises(ValueError, match="253 states render as only 236 distinct names"):
         hbfa_to_hrfa(m_pipe_named())
-    for build in (mirror_within_lines, mirror_line_order, lambda a: family_normalizer(a, "R3")):
+    for build in (mirror_within_lines, mirror_line_order):
         with pytest.raises(ValueError, match="distinct names"):
             build(r_pipe_named())
+    # the reversal pastes no names, so it builds every input
+    a = r_pipe_named()
+    out = family_normalizer(a, "R3")
+    assert len(out.states) == len(a.states) + 2 == 5
+    assert bounded_equivalent(a, CR, out, CR, ("0", "1"), BOUND, op="R3") is None
+    assert len(point_reflection(out).states) == 7
 
 
 def test_closure_pipeline_all_group_elements(rng):
