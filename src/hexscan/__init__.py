@@ -47,7 +47,6 @@ from .automata import (
     is_deterministic,
     parse_automaton,
     run,
-    run_canonical,
     serialize_automaton,
     validate,
 )

@@ -266,10 +266,6 @@ def run(
     return accepted
 
 
-def run_canonical(a: HexAutomaton, picture: HexPicture, trace: bool = False):
-    return run(a, picture, canonical_mode(a.kind), trace=trace)
-
-
 def determinize(a: HexAutomaton) -> HexAutomaton:
     """Subset construction, applied inside each partition.
 

@@ -15,32 +15,37 @@ language relates to the input's in a stated way:
 
 R3 reverses the whole consumption word, so it needs no simulation: the
 reversed NFA reads it.  r3 is that reversal after the within-line mirror.
-The two constructions that read a line against the input machine's
-processing order, hbfa_to_hrfa and mirror_within_lines, use the classical
-mirror-image technique: guess the state at the far end and step the rule
-relation backwards, verifying the near end on the border read.  Carrying
-that off needs three registers per reversed line (the entry state to verify,
-the running backward-simulation state, and the guessed exit whose border
-successor seeds the next line), so reversed-line phases use state triples.
+hbfa_to_hrfa and mirror_within_lines are one builder, _reverse_lines, that
+reads some lines against the input machine's processing order: the lines
+the boustrophedon machine reads in backward states, or every line.  It uses
+the classical mirror-image technique: guess the state at the far end and
+step the rule relation backwards, verifying the near end on the border
+read.  That needs three registers per reversed line (the entry state to
+verify, the running backward-simulation state, and the guessed exit whose
+border successor seeds the next line), so reversed lines use state triples;
+lines read in the input's own order use one state per input state.
 Cubic growth is needed in the worst case for the conversion: acceptance
 criterion 12 (`test_criterion_12_conversion_lower_bound_certificate`) builds
-boustrophedon machines with n/2 states per partition whose canonical
-returning linearizations carry (n/2)^3 fooling pairs, so every equivalent
-canonical-mode returning automaton has at least (n/2)^3 states
-(729 > 2*18^2+1 at n = 18).
+boustrophedon machines with k states per partition whose canonical
+returning linearizations carry k^3 fooling pairs, so every equivalent
+canonical-mode returning automaton has at least k^3 states (729 at k = 9,
+where the conversion builds 1 + k + k^3 = 739).
+
+Output states are named by the positions of input states in sorted order,
+never by pasting input names, so no two output states share a name.
 """
 
 from __future__ import annotations
 
-from .automata import HexAutomaton, require_valid
+from .automata import HexAutomaton, automaton, require_valid
 from .scan import BOUSTROPHEDON, RETURNING
 
 
-def expected_output_states(construction: str, input_states: int) -> int:
-    """State count each construction produces for a given input size."""
-    n = input_states
+def expected_output_states(construction: str, a: HexAutomaton) -> int:
+    """State count each construction produces for the input automaton."""
+    n = len(a.states)
     if construction == "hbfa-to-hrfa":
-        return n**3 + n**2 + 1
+        return 1 + len(a.forward_states) + len(a.backward_states) ** 3
     if construction == "mirror-within-lines":
         return n**3 + 1
     if construction == "mirror-line-order":
@@ -50,131 +55,69 @@ def expected_output_states(construction: str, input_states: int) -> int:
     raise ValueError(f"unknown construction {construction!r}")
 
 
-def _returning(
-    construction: str, a: HexAutomaton, states: set[str], value_rules, border_rules,
-    start: str, finals: set[str],
-) -> HexAutomaton:
-    """The construction's output, refused if two of its state names coincide.
+def _reverse_lines(a: HexAutomaton, direct, reversed_) -> HexAutomaton:
+    """Returning automaton reading each line as `a` does, some backwards.
 
-    hbfa_to_hrfa and mirror_within_lines paste input names together between
-    `|` separators, so an input name containing `|` can render two different
-    states alike.  point_reflection's names are injective and never collide.
+    A line entered in a `direct` state is read as-is, in one state 1[i] per
+    input state.  A line entered in a `reversed_` state is simulated
+    backwards in triples 3[e|y|h] over `reversed_`: entry state e to verify,
+    running state y seeded at the guessed exit h.  Each cell read steps the
+    rule relation backwards, and the border read fires h's border rules
+    only once y has arrived at e.  A fresh start 0 takes the first cell read
+    as the states the first line is entered in would.  Value rules must stay
+    inside the part they start in.  i, e, y and h are positions in the
+    sorted input states.  States: 1 + |direct| + |reversed_|^3.
     """
-    expected = expected_output_states(construction, len(a.states))
-    if len(states) != expected:
-        raise ValueError(
-            f"{construction}: {expected} states render as only {len(states)} distinct "
-            "names; rename the input states that contain '|'"
-        )
-    return HexAutomaton(
-        kind=RETURNING,
-        forward_states=frozenset(states),
-        backward_states=frozenset(),
-        alphabet=a.alphabet,
-        value_rules=frozenset(value_rules),
-        border_rules=frozenset(border_rules),
-        start=start,
-        finals=frozenset(finals),
-    )
+    pos = {q: i for i, q in enumerate(sorted(a.states))}
+    one = {q: f"1[{pos[q]}]" for q in direct}
+    three = {(e, y, h): f"3[{pos[e]}|{pos[y]}|{pos[h]}]"
+             for e in reversed_ for y in reversed_ for h in reversed_}
 
+    def entered(q):
+        return [one[q]] if q in one else [three[q, h, h] for h in reversed_]
 
-def _p1(x: str, g: str) -> str:
-    return f"1[{x}|{g}]"
-
-
-def _p2(a: str, y: str, h: str) -> str:
-    return f"2[{a}|{y}|{h}]"
+    value_rules = set()
+    for p, sym, q in a.value_rules:
+        if p in one:
+            value_rules.add((one[p], sym, one[q]))
+        else:
+            value_rules.update((three[e, q, h], sym, three[e, p, h])
+                               for e in reversed_ for h in reversed_)
+    border_rules = set()
+    for h, nxt in a.border_rules:
+        ends = [one[h]] if h in one else [three[e, e, h] for e in reversed_]
+        border_rules.update((end, t) for end in ends for t in entered(nxt))
+    first = set(entered(a.start))
+    value_rules.update([("0", sym, q) for p, sym, q in value_rules if p in first])
+    finals = [one[f] for f in a.finals if f in one]
+    finals += [s for (e, _, _), s in three.items() if e in a.finals]
+    states = ["0", *one.values(), *three.values()]
+    return automaton(RETURNING, states, [], a.alphabet, value_rules, border_rules, "0", finals)
 
 
 def hbfa_to_hrfa(a: HexAutomaton) -> HexAutomaton:
     """Returning automaton accepting exactly the input's canonical language.
 
-    Odd lines (which both machines read in plan orientation) are simulated
-    directly in pair states (running state, guessed line-end state); the
-    border rule fires only when the guess was met.  Even lines, which the
-    boustrophedon machine reads in reverse, are simulated backwards in
-    triple states (entry state to verify, running state, guessed exit): the
-    running state is seeded at the guessed exit, each cell read steps the
-    rule relation backwards, and the border read checks that the simulation
-    arrived at the entry state before chaining through the exit's border
-    rule.  States: 1 start + |Q|^2 pairs + |Q|^3 triples.
+    Lines the boustrophedon machine reads in forward states are read
+    directly; lines it reads in reverse, in backward states, are simulated
+    backwards.  Rules are typed, so no line changes partition.  States:
+    1 + |F| + |B|^3.
     """
     require_valid(a)
     if a.kind != BOUSTROPHEDON:
         raise ValueError("input must be a boustrophedon automaton")
-    states = sorted(a.states)
-    start = "S0"
-    value_rules: set[tuple[str, str, str]] = set()
-    border_rules: set[tuple[str, str]] = set()
-
-    for p, sym, q in a.value_rules:
-        if p == a.start:
-            for g in states:
-                value_rules.add((start, sym, _p1(q, g)))
-        for g in states:
-            value_rules.add((_p1(p, g), sym, _p1(q, g)))
-        # backward step: moving to p after reading sym is legal when the
-        # machine could have moved p -> q reading sym in its own order
-        for entry in states:
-            for h in states:
-                value_rules.add((_p2(entry, q, h), sym, _p2(entry, p, h)))
-
-    for g, q1 in a.border_rules:
-        for h in states:
-            border_rules.add((_p1(g, g), _p2(q1, h, h)))
-    for h, x in a.border_rules:
-        for entry in states:
-            for g in states:
-                border_rules.add((_p2(entry, entry, h), _p1(x, g)))
-
-    all_states = {start}
-    all_states.update(_p1(x, g) for x in states for g in states)
-    all_states.update(_p2(e, y, h) for e in states for y in states for h in states)
-    finals = {_p2(e, y, h) for e in a.finals for y in states for h in states}
-    finals.update(_p1(x, g) for x in a.finals for g in states)
-
-    return _returning("hbfa-to-hrfa", a, all_states, value_rules, border_rules, start, finals)
-
-
-def _t(entry: str, y: str, h: str) -> str:
-    return f"t[{entry}|{y}|{h}]"
+    return _reverse_lines(a, a.forward_states, a.backward_states)
 
 
 def mirror_within_lines(a: HexAutomaton) -> HexAutomaton:
     """Returning automaton whose language is the r0-image of the input's.
 
-    Every line is read against the input machine's order and simulated
-    backwards in triples (line-entry state, running state, guessed exit).
-    States: 1 start + |Q|^3.
+    Every line is simulated backwards.  States: 1 + |Q|^3.
     """
     require_valid(a)
     if a.kind != RETURNING:
         raise ValueError("input must be a returning automaton")
-    states = sorted(a.states)
-    start = "W0"
-    value_rules: set[tuple[str, str, str]] = set()
-    border_rules: set[tuple[str, str]] = set()
-
-    for p, sym, q in a.value_rules:
-        value_rules.add((start, sym, _t(a.start, p, q)))
-        for entry in states:
-            for h in states:
-                value_rules.add((_t(entry, q, h), sym, _t(entry, p, h)))
-
-    for h, nxt in a.border_rules:
-        for entry in states:
-            for h2 in states:
-                border_rules.add((_t(entry, entry, h), _t(nxt, h2, h2)))
-
-    all_states = {start}
-    all_states.update(_t(e, y, h) for e in states for y in states for h in states)
-    finals = {_t(e, y, h) for e in a.finals for y in states for h in states}
-
-    return _returning("mirror-within-lines", a, all_states, value_rules, border_rules, start, finals)
-
-
-def _x(q: str) -> str:
-    return f"x[{q}]"
+    return _reverse_lines(a, frozenset(), a.states)
 
 
 def point_reflection(a: HexAutomaton) -> HexAutomaton:
@@ -191,16 +134,14 @@ def point_reflection(a: HexAutomaton) -> HexAutomaton:
     require_valid(a)
     if a.kind != RETURNING:
         raise ValueError("input must be a returning automaton")
-    start, final = "x0", "xF"
+    x = {q: f"x[{q}]" for q in a.states}
     last = {y for y, f in a.border_rules if f in a.finals}
-    value_rules = {(_x(q), sym, _x(p)) for p, sym, q in a.value_rules}
-    value_rules.update((start, sym, _x(p)) for p, sym, q in a.value_rules if q in last)
-    border_rules = {(_x(q), _x(p)) for p, q in a.border_rules}
-    border_rules.add((_x(a.start), final))
-    all_states = {start, final}
-    all_states.update(_x(q) for q in a.states)
-
-    return _returning("point-reflection", a, all_states, value_rules, border_rules, start, {final})
+    value_rules = {(x[q], sym, x[p]) for p, sym, q in a.value_rules}
+    value_rules.update(("x0", sym, x[p]) for p, sym, q in a.value_rules if q in last)
+    border_rules = {(x[q], x[p]) for p, q in a.border_rules}
+    border_rules.add((x[a.start], "xF"))
+    states = ["x0", "xF", *x.values()]
+    return automaton(RETURNING, states, [], a.alphabet, value_rules, border_rules, "x0", ["xF"])
 
 
 def mirror_line_order(a: HexAutomaton) -> HexAutomaton:

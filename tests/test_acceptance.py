@@ -30,7 +30,6 @@ from hexscan import (
     normal_form,
     row_widths,
     run,
-    run_canonical,
     scan_lines,
     serialize_picture,
     validate,
@@ -169,7 +168,7 @@ def test_criterion_05_direction_coherence():
             for p in pics:
                 if (key, p) not in transformed:
                     transformed[(key, p)] = apply_op(key, p)
-                assert run(a, p, mode) == run_canonical(a, transformed[(key, p)])
+                assert run(a, p, mode) == run(a, transformed[(key, p)])
     _report(5, time.time() - start, 120, "30+30 automata, 12 modes, 190 pictures")
 
 
@@ -192,9 +191,9 @@ def test_criterion_07_boustrophedon_to_returning():
         conv = hbfa_to_hrfa(a)
         assert bounded_equivalent(a, CB, conv, CR, AB, BOUND2) is None, i
         n = len(a.states)
-        assert len(conv.states) == expected_output_states("hbfa-to-hrfa", n), (
+        assert len(conv.states) == expected_output_states("hbfa-to-hrfa", a), (
             f"automaton {i}: conversion built {len(conv.states)} states for n={n}, "
-            "not expected_output_states('hbfa-to-hrfa', n); a 2n^2+1 target is "
+            "not expected_output_states('hbfa-to-hrfa', a); a 2n^2+1 target is "
             "refuted by test_criterion_12_conversion_lower_bound_certificate"
         )
     _report(7, time.time() - start, 120, "30 automata")
@@ -361,6 +360,16 @@ def test_criterion_12_conversion_lower_bound_certificate():
         assert not accepts(x1, y2) or not accepts(x2, y1), (x1, x2)
     _report(12, time.time() - start, 120,
             f"{len(pairs)} fooling pairs > 2*{n}^2+1 = {2 * n**2 + 1}")
+
+
+def test_conversion_of_criterion_12_witness_is_near_its_bound():
+    """The conversion builds 1 + k + k^3 states, within k + 1 of the bound."""
+    k = 9
+    witness, _ = _fooling_witness(k)
+    conv = hbfa_to_hrfa(witness)
+    assert len(conv.states) == expected_output_states("hbfa-to-hrfa", witness) == 1 + k + k**3
+    for size in (HexSize(1, 1, 1), HexSize(1, 1, 2), HexSize(2, 2, 2)):
+        assert exact_equivalent_for_size(witness, CB, conv, CR, size) is None, size
 
 
 def test_criterion_13_exact_gate_to_side_4():

@@ -18,7 +18,6 @@ from hexscan import (
     modes_for_kind,
     parse_automaton,
     run,
-    run_canonical,
     scan_lines,
     serialize_automaton,
     validate,
@@ -82,22 +81,22 @@ def test_is_deterministic():
 
 def test_run_m_all_and_m_none():
     p = make_uniform(HexSize(2, 2, 2), "a")
-    assert run_canonical(m_all(), p) is True
-    assert run_canonical(m_none(), p) is False
+    assert run(m_all(), p) is True
+    assert run(m_none(), p) is False
     assert any(run(m_all(), p, m) for m in modes_for_kind(BOUSTROPHEDON))
     assert not any(run(m_none(), p, m) for m in modes_for_kind(BOUSTROPHEDON))
 
 
 def test_run_parity():
     # 19 cells is odd, 4 cells is even
-    assert run_canonical(m_parity(), make_uniform(HexSize(3, 3, 3), "a")) is False
-    assert run_canonical(m_parity(), make_uniform(HexSize(2, 2, 1), "a")) is True
+    assert run(m_parity(), make_uniform(HexSize(3, 3, 3), "a")) is False
+    assert run(m_parity(), make_uniform(HexSize(2, 2, 1), "a")) is True
 
 
 def test_run_rejects_foreign_symbols_and_kind_mismatch():
     p = make_uniform(HexSize(1, 1, 1), "z")
     with pytest.raises(ValueError):
-        run_canonical(m_all(), p)
+        run(m_all(), p)
     with pytest.raises(ValueError):
         run(m_all(), make_uniform(HexSize(1, 1, 1), "a"), canonical_mode(RETURNING))
 
@@ -108,7 +107,7 @@ def test_run_requires_valid_automaton():
     # validation runs once per automaton, but every call still raises
     for _ in range(3):
         with pytest.raises(InvalidAutomatonError):
-            run_canonical(broken, make_uniform(HexSize(1, 1, 1), "a"))
+            run(broken, make_uniform(HexSize(1, 1, 1), "a"))
     with pytest.raises(InvalidAutomatonError):
         determinize(broken)
 
@@ -118,7 +117,7 @@ def test_indexed_automaton_is_collected_with_its_last_reference():
     import weakref
 
     a = m_parity(alphabet=("a", "b"))
-    assert run_canonical(a, make_uniform(HexSize(1, 2, 2), "a"))
+    assert run(a, make_uniform(HexSize(1, 2, 2), "a"))
     alive = weakref.ref(a)
     del a
     gc.collect()
@@ -127,7 +126,7 @@ def test_indexed_automaton_is_collected_with_its_last_reference():
 
 def test_trace_step_count_and_flags():
     p = make_uniform(HexSize(2, 2, 2), "a")
-    accepted, trace = run_canonical(m_all(), p, trace=True)
+    accepted, trace = run(m_all(), p, trace=True)
     assert accepted
     plan = scan_lines(p.size, canonical_mode(BOUSTROPHEDON))
     assert len(trace.steps) == cell_count(p.size) + plan.line_count
@@ -157,7 +156,7 @@ def test_run_trace_follows_plan_reading_lines():
 def test_returning_runs_never_flip():
     r = m_all(kind=RETURNING)
     p = make_uniform(HexSize(2, 3, 2), "a")
-    accepted, trace = run_canonical(r, p, trace=True)
+    accepted, trace = run(r, p, trace=True)
     assert accepted
     assert all(s.mode_flag == "f" for s in trace.steps)
 
@@ -173,7 +172,7 @@ def test_boustrophedon_consumes_odd_lines_reversed():
         symbols[c] = f"s{i}"
         p = p.set(c, f"s{i}")
     a = m_all(alphabet=("a", "s0", "s1", "s2"))
-    _, trace = run_canonical(a, p, trace=True)
+    _, trace = run(a, p, trace=True)
     read = [s.symbol for s in trace.steps if s.cell in set(mid)]
     assert read == ["s2", "s1", "s0"]
 
@@ -202,7 +201,7 @@ def test_direction_coherence_small(rng):
         a = random_ghbfa(rng)
         for mode in modes_for_kind(BOUSTROPHEDON):
             for p in pics:
-                assert run(a, p, mode) == run_canonical(a, apply_op(mode.element, p))
+                assert run(a, p, mode) == run(a, apply_op(mode.element, p))
 
 
 def test_mode2_coherence(rng):
@@ -259,7 +258,7 @@ def test_determinize_returning(rng):
 
 def test_determinize_refuses_colliding_subset_names():
     a = m_plus_named()
-    assert not run_canonical(a, make_uniform(HexSize(1, 1, 1), "b"))
+    assert not run(a, make_uniform(HexSize(1, 1, 1), "b"))
     # {x,y} and {x+y} would both be named {x+y}, merging their rules
     with pytest.raises(ValueError, match=r"\('x', 'y'\) and \('x\+y',\).*'\{x\+y\}'"):
         determinize(a)

@@ -184,7 +184,6 @@ def test_to_rfa_command(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, machine", [
     ("determinize", m_plus_named),
-    ("to-rfa", m_pipe_named),
 ])
 def test_colliding_state_names_exit_2(capsys, tmp_path, command, machine):
     path = tmp_path / "a.hxa"
@@ -192,6 +191,16 @@ def test_colliding_state_names_exit_2(capsys, tmp_path, command, machine):
     code, out, err = run_cli(capsys, command, "--automaton", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_to_rfa_builds_pipe_named_states(capsys, tmp_path):
+    # the conversion names states by input positions, so `|` in an input
+    # name is no separator to collide on
+    path = tmp_path / "a.hxa"
+    path.write_text(serialize_automaton(m_pipe_named()))
+    code, out, _ = run_cli(capsys, "to-rfa", "--automaton", str(path))
+    assert code == 0
+    assert len(parse_automaton(out)[0].states) == 31
 
 
 def test_mirror_command(capsys, tmp_path):
@@ -218,7 +227,7 @@ def test_mirror_command(capsys, tmp_path):
                                    "--automaton", str(src))
             assert code == 0
             built = len(parse_automaton(out)[0].states)
-            assert built == expected_output_states(construction, n) == count(n), (target, n)
+            assert built == expected_output_states(construction, a) == count(n), (target, n)
 
 
 def test_enum_count_only(capsys):

@@ -23,7 +23,7 @@ from hexscan.langtools import (
     image_set,
     picture_sort_key,
 )
-from hexscan.transforms import hbfa_to_hrfa
+from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
 from conftest import m_all, m_at_most, m_none, m_parity, m_some, random_ghbfa, random_ghrfa
 
@@ -187,7 +187,8 @@ def test_exact_oracle_witness_on_lines_read_in_opposite_orientations():
                             ("v", "a", "v"), ("v", "b", "v"), ("t", "a", "t"), ("t", "b", "t")],
                            [("s", "u"), ("v", "t"), ("t", "v")], "s", ["t", "v"])
     small = m_all(kind=RETURNING)  # fewer states than first_read: it carries the relation
-    large = hbfa_to_hrfa(m_all())  # more states: first_read carries it
+    large = mirror_within_lines(small)  # same language, more states: first_read carries it
+    assert len(small.states) < len(first_read.states) < len(large.states)
     for size, element in itertools.product(
             (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2)), ("R0", "r1")):
         b, r = DirectionMode(BOUSTROPHEDON, element), DirectionMode(RETURNING, element)

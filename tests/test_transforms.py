@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -57,8 +58,8 @@ def test_hbfa_to_hrfa_validates_and_counts():
     out = hbfa_to_hrfa(a)
     assert out.kind == RETURNING
     assert validate(out) == []
-    n = len(a.states)
-    assert len(out.states) == expected_output_states("hbfa-to-hrfa", n) == n**3 + n**2 + 1
+    count = 1 + len(a.forward_states) + len(a.backward_states) ** 3
+    assert len(out.states) == expected_output_states("hbfa-to-hrfa", a) == count
 
 
 def test_hbfa_to_hrfa_requires_boustrophedon():
@@ -76,6 +77,31 @@ def test_hbfa_to_hrfa_random_pool(rng):
     for _ in range(12):
         a = random_ghbfa(rng)
         assert bounded_equivalent(a, CB, hbfa_to_hrfa(a), CR, AB, BOUND) is None
+
+
+def test_conversion_pool_tells_conversion_from_unreversed_reading():
+    # criterion 7's pool tells the conversion from the input read with every
+    # line unreversed on only 2 of its 30 machines; here on every machine
+    rng = random.Random(1707)
+    kept = []
+    for _ in range(400):
+        a = random_ghbfa(rng, max_per_partition=3)
+        if bounded_equivalent(a, CB, replace(a, kind=RETURNING), CR, AB, BOUND) is not None:
+            kept.append(a)
+            if len(kept) == 20:
+                break
+    assert len(kept) == 20
+    killed = {"1[": 0, "3[": 0}
+    for i, a in enumerate(kept):
+        conv = hbfa_to_hrfa(a)
+        assert bounded_equivalent(a, CB, conv, CR, AB, BOUND) is None, i
+        for prefix in killed:
+            kept_finals = frozenset(f for f in conv.finals if not f.startswith(prefix))
+            mutant = replace(conv, finals=kept_finals)
+            killed[prefix] += bounded_equivalent(a, CB, mutant, CR, AB, BOUND) is not None
+    # the pool sees final states in both kinds of line: forward lines' 1[i]
+    # and backward lines' 3[i|j|k]
+    assert killed["1["] >= 14 and killed["3["] >= 16, killed
 
 
 def test_mirror_within_lines_counts_and_language(rng):
@@ -108,8 +134,7 @@ def test_mirror_line_order_language(rng):
     a = returning_all()
     out = mirror_line_order(a)
     assert validate(out) == []
-    n = len(a.states)
-    assert len(out.states) == expected_output_states("mirror-line-order", n)
+    assert len(out.states) == expected_output_states("mirror-line-order", a)
     assert bounded_equivalent(a, CR, out, CR, AB, BOUND, op="r3") is None
     for _ in range(10):
         a = random_ghrfa(rng)
@@ -165,11 +190,16 @@ def _asymmetric_pool(op, seed):
 @pytest.mark.parametrize("op, build", [("R3", point_reflection), ("r3", mirror_line_order)])
 def test_mirror_pool_tells_mirror_from_identity(op, build):
     # criterion 8's pool lets the identity pass on 25 of 30 machines; here
-    # every machine's language differs from its own image, so it cannot
+    # every machine's language differs from its own image, so it cannot,
+    # and the other mirror fails on most machines
+    other = {"R3": mirror_line_order, "r3": point_reflection}[op]
+    wrong_mirror = 0
     for i, a in enumerate(_asymmetric_pool(op, seed=1808)):
         assert bounded_equivalent(a, CR, build(a), CR, AB, BOUND, op=op) is None, i
         identity = family_normalizer(a, "R0")
         assert bounded_equivalent(a, CR, identity, CR, AB, BOUND, op=op) is not None, i
+        wrong_mirror += bounded_equivalent(a, CR, other(a), CR, AB, BOUND, op=op) is not None
+    assert wrong_mirror >= 14
 
 
 def test_family_normalizer_dispatch(rng):
@@ -183,18 +213,25 @@ def test_family_normalizer_dispatch(rng):
     assert bounded_equivalent(a, CR, r3both, CR, AB, BOUND, op="R3") is None
 
 
-def test_constructions_refuse_colliding_state_names():
-    # 1[a|b|c] names both (a, b|c) and (a|b, c): 253 states, 236 names
-    with pytest.raises(ValueError, match="253 states render as only 236 distinct names"):
-        hbfa_to_hrfa(m_pipe_named())
-    for build in (mirror_within_lines, mirror_line_order):
-        with pytest.raises(ValueError, match="distinct names"):
-            build(r_pipe_named())
-    # the reversal pastes no names, so it builds every input
-    a = r_pipe_named()
-    out = family_normalizer(a, "R3")
-    assert len(out.states) == len(a.states) + 2 == 5
-    assert bounded_equivalent(a, CR, out, CR, ("0", "1"), BOUND, op="R3") is None
+def test_constructions_build_pipe_named_states():
+    # output states are named by input positions, never by pasting input
+    # names, so state names holding the old separator `|` change nothing
+    sizes = [HexSize(*s) for s in itertools.product(range(1, 5), repeat=3)]
+    m, r = m_pipe_named(), r_pipe_named()
+    conv, r0, r3 = hbfa_to_hrfa(m), mirror_within_lines(r), mirror_line_order(r)
+    assert (len(conv.states), len(r0.states), len(r3.states)) == (31, 28, 30)
+    assert bounded_equivalent(m, CB, conv, CR, ("0", "1"), BOUND) is None
+    assert bounded_equivalent(r, CR, r0, CR, ("0", "1"), BOUND, op="r0") is None
+    assert bounded_equivalent(r, CR, r3, CR, ("0", "1"), BOUND, op="r3") is None
+    # the exact oracle compares equal directions only: r0 is checked as
+    # test_mirror_compositions_exact_to_side_4 does, by r3 = R3 r0 = r0 R3
+    other_order = mirror_within_lines(point_reflection(r))
+    for size in sizes:
+        assert exact_equivalent_for_size(m, CB, conv, CR, size) is None, size
+        assert exact_equivalent_for_size(r3, CR, other_order, CR, size) is None, size
+    out = family_normalizer(r, "R3")
+    assert len(out.states) == len(r.states) + 2 == 5
+    assert bounded_equivalent(r, CR, out, CR, ("0", "1"), BOUND, op="R3") is None
     assert len(point_reflection(out).states) == 7
 
 
