@@ -3,8 +3,11 @@
 Everything here decides statements about automaton languages restricted to a
 finite set of sizes, in one of two ways:
 
-  * the enumeration oracle (`accepted_set`, `bounded_equivalent`) lists the
-    accepted pictures of every size in a bound and compares the sets;
+  * the enumeration oracle (`bounded_equivalent`) lists the accepted symbol
+    words of every size in a bound, moves each into the row-major order of
+    the op-image's cells with one cell permutation per size, and compares
+    the sets of words; it builds pictures only for the witness candidates
+    (`accepted_set` builds every member, for callers that want pictures);
   * the exact per-size oracle (`exact_equivalent_for_size`) enumerates no
     pictures.  It advances the reachable pairs of frontier sets one cell at a
     time, deduplicating after every cell and memoizing each step.  On a line
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .hexgrid import (
@@ -36,7 +40,7 @@ from .hexgrid import (
     row_widths,
     serialize_picture,
 )
-from .symmetry import apply_op, check_op, transform_size
+from .symmetry import apply_op, cell_map, check_op, transform_size
 from .automata import HexAutomaton, _union, require_valid
 from .scan import DirectionMode, ScanPlan, scan_lines
 
@@ -80,6 +84,16 @@ def picture_sort_key(picture: HexPicture) -> tuple[int, str]:
     return cell_count(picture.size), serialize_picture(picture)
 
 
+def _picture(size: HexSize, flat: tuple[str, ...]) -> HexPicture:
+    """The picture whose symbols in row-major order are `flat`."""
+    rows = []
+    at = 0
+    for w in row_widths(size):
+        rows.append(flat[at:at + w])
+        at += w
+    return HexPicture(size, tuple(rows))
+
+
 def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[HexPicture]:
     """Every picture over the alphabet with size in the bound, exactly once.
 
@@ -90,15 +104,8 @@ def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[He
     if not symbols:
         raise ValueError("alphabet must be non-empty")
     for size in bound.sorted_sizes():
-        widths = row_widths(size)
-        total = sum(widths)
-        for flat in itertools.product(symbols, repeat=total):
-            rows = []
-            at = 0
-            for w in widths:
-                rows.append(tuple(flat[at:at + w]))
-                at += w
-            yield HexPicture(size, tuple(rows))
+        for flat in itertools.product(symbols, repeat=cell_count(size)):
+            yield _picture(size, flat)
 
 
 def _accepted_words(
@@ -157,26 +164,48 @@ def _accepted_words(
     return order, list(suffixes.get(idx.start_mask, ()))
 
 
+def _check_question(a: HexAutomaton, d: DirectionMode, alphabet: frozenset[str]) -> None:
+    require_valid(a)
+    if d.kind != a.kind:
+        raise ValueError(f"mode kind {d.kind} does not match automaton kind {a.kind}")
+    missing = alphabet - a.alphabet
+    if missing:
+        raise ValueError(f"alphabet symbols {sorted(missing)} outside automaton alphabet")
+
+
+def _row_major_words(
+    a: HexAutomaton, size: HexSize, d: DirectionMode, symbols: tuple[str, ...], op: str = "R0"
+) -> Iterator[tuple[str, ...]]:
+    """The accepted words at `size`, each as its op-image's symbols in row-major order.
+
+    One `itemgetter`, built from `cell_map(op, size)` and the consumption
+    order, moves every word's symbols to the cells of
+    `transform_size(op, size)`; no picture is built.
+    """
+    order, words = _accepted_words(a, size, d, symbols)
+    mapping = cell_map(op, size)
+    position = {mapping[cell]: i for i, cell in enumerate(order)}
+    at = [position[cell] for cell in cells(transform_size(op, size))]
+    # a one-cell word is already in row-major order, and itemgetter with a
+    # single index would return a bare symbol
+    return map(itemgetter(*at) if len(at) > 1 else tuple, words)
+
+
 def accepted_set(
     a: HexAutomaton,
     d: DirectionMode,
     alphabet: Iterable[str],
     bound: SizeBound,
 ) -> LanguageSample:
-    require_valid(a)
-    if d.kind != a.kind:
-        raise ValueError(f"mode kind {d.kind} does not match automaton kind {a.kind}")
     alphabet = frozenset(alphabet)
-    missing = alphabet - a.alphabet
-    if missing:
-        raise ValueError(f"alphabet symbols {sorted(missing)} outside automaton alphabet")
+    _check_question(a, d, alphabet)
     symbols = tuple(sorted(alphabet))
-    members: set[HexPicture] = set()
-    for size in bound.sorted_sizes():
-        order, words = _accepted_words(a, size, d, symbols)
-        for word in words:
-            members.add(picture_from_cells(size, dict(zip(order, word))))
-    return LanguageSample(alphabet=alphabet, bound=bound, members=frozenset(members))
+    members = frozenset(
+        _picture(size, flat)
+        for size in bound.sizes
+        for flat in _row_major_words(a, size, d, symbols)
+    )
+    return LanguageSample(alphabet=alphabet, bound=bound, members=members)
 
 
 def image_set(sample: LanguageSample, op: str) -> LanguageSample:
@@ -200,15 +229,29 @@ def bounded_equivalent(
     """None iff a2's accepted set equals the op-image of a1's.
 
     Otherwise the smallest picture (by cell count, then serialized text) in
-    the symmetric difference is returned.
+    the symmetric difference is returned.  Both sides are compared as sets
+    of symbol words in the row-major order of the image size: a1's accepted
+    words at each size s are permuted onto `transform_size(op, s)`, a2's
+    words there onto its own cells.  Sizes are walked by cell count, which
+    every op preserves, and the walk stops at the first cell count with a
+    difference; pictures are built only for that count's differing words,
+    the witness candidates.
     """
     alphabet = frozenset(alphabet)
-    image = image_set(accepted_set(a1, d1, alphabet, bound), op)
-    other = accepted_set(a2, d2, alphabet, bound.image(op))
-    diff = image.members ^ other.members
-    if not diff:
-        return None
-    return min(diff, key=picture_sort_key)
+    _check_question(a1, d1, alphabet)
+    _check_question(a2, d2, alphabet)
+    check_op(op)
+    symbols = tuple(sorted(alphabet))
+    for _, sizes in itertools.groupby(bound.sorted_sizes(), key=cell_count):
+        candidates = []
+        for size in sizes:
+            image = transform_size(op, size)
+            diff = set(_row_major_words(a1, size, d1, symbols, op))
+            diff.symmetric_difference_update(_row_major_words(a2, image, d2, symbols))
+            candidates.extend(_picture(image, flat) for flat in diff)
+        if candidates:
+            return min(candidates, key=picture_sort_key)
+    return None
 
 
 class _Stepper:

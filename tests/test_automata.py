@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -254,6 +255,28 @@ def test_determinize_returning(rng):
         d = determinize(a)
         assert is_deterministic(d)
         assert bounded_equivalent(a, cr, d, cr, ["a", "b"], bound) is None
+
+
+def test_determinize_pool_tells_flipped_finality():
+    # criterion 6's pool against determinize with one subset's finality
+    # flipped: the kill counts measured at max side 2 are the floors
+    bound = SizeBound.max_side(2)
+    cb = canonical_mode(BOUSTROPHEDON)
+    rng = random.Random(606)
+    killed = {"some subset": 0, "start": 0, "last by name": 0}
+    for _ in range(50):
+        a = random_ghbfa(rng, max_per_partition=4)
+        d = determinize(a)
+
+        def caught(subset):
+            mutant = replace(d, finals=d.finals ^ {subset})
+            return bounded_equivalent(a, cb, mutant, cb, ["a", "b"], bound) is not None
+
+        killed["some subset"] += any(caught(s) for s in sorted(d.states))
+        killed["start"] += caught(d.start)
+        killed["last by name"] += caught(max(d.states))
+    assert killed["some subset"] >= 37 and killed["start"] >= 8
+    assert killed["last by name"] >= 13, killed
 
 
 def test_determinize_refuses_colliding_subset_names():

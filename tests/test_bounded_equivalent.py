@@ -1,0 +1,150 @@
+"""The enumeration oracle against its definition, its input checks, and its
+member-free path.
+
+`bounded_equivalent` compares symbol words permuted into the image's
+row-major order and builds pictures only for witness candidates.  Its
+definition is the picture-level comparison below, over `accepted_set` and
+`image_set`; the two must agree on verdict and witness, byte for byte.
+"""
+
+import random
+
+import pytest
+
+from hexscan import (
+    ALL_MODES,
+    OP_NAMES,
+    BOUSTROPHEDON,
+    RETURNING,
+    HexSize,
+    canonical_mode,
+    determinize,
+    langtools,
+    serialize_automaton,
+    serialize_picture,
+)
+from hexscan.automata import InvalidAutomatonError, automaton
+from hexscan.cli import main
+from hexscan.langtools import (
+    SizeBound,
+    accepted_set,
+    bounded_equivalent,
+    image_set,
+    picture_sort_key,
+)
+from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
+
+from conftest import m_all, random_ghbfa, random_ghrfa
+
+CB = canonical_mode(BOUSTROPHEDON)
+CR = canonical_mode(RETURNING)
+AB = ("a", "b")
+BOUND2 = SizeBound.max_side(2)
+
+
+def definition(a1, d1, a2, d2, alphabet, bound, op):
+    """The smallest picture in image(L1 within bound) ^ (L2 within the image bound)."""
+    image = image_set(accepted_set(a1, d1, alphabet, bound), op)
+    other = accepted_set(a2, d2, alphabet, bound.image(op))
+    diff = image.members ^ other.members
+    return min(diff, key=picture_sort_key) if diff else None
+
+
+# several sizes share the smallest cell count (3), and one has 4 cells
+TIED = SizeBound(frozenset({HexSize(1, 1, 3), HexSize(1, 3, 1), HexSize(3, 1, 1),
+                            HexSize(2, 1, 2)}))
+BOUNDS = (SizeBound.max_side(1), BOUND2, TIED)
+# one alphabet holds a multi-character symbol
+ALPHABETS = (AB, ("a", "ab"))
+
+
+def _question(rng):
+    alphabet = rng.choice(ALPHABETS)
+    a1 = (random_ghbfa(rng, max_per_partition=2, alphabet=alphabet) if rng.random() < 0.5
+          else random_ghrfa(rng, alphabet=alphabet))
+    if a1.kind == BOUSTROPHEDON:
+        related = [a1, determinize(a1), hbfa_to_hrfa(a1)]
+    else:
+        related = [a1, determinize(a1), mirror_within_lines(a1)]
+    unrelated = (random_ghbfa(rng, max_per_partition=2, alphabet=alphabet)
+                 if rng.random() < 0.5 else random_ghrfa(rng, alphabet=alphabet))
+    a2 = rng.choice(related + [unrelated])
+    d1 = rng.choice([d for d in ALL_MODES if d.kind == a1.kind])
+    d2 = rng.choice([d for d in ALL_MODES if d.kind == a2.kind])
+    return a1, d1, a2, d2, alphabet, rng.choice(BOUNDS), rng.choice(OP_NAMES)
+
+
+def test_oracle_matches_its_definition():
+    rng = random.Random(8008)
+    seen_ops, seen_modes, unequal = set(), set(), 0
+    witness_sizes = set()
+    for i in range(1200):
+        a1, d1, a2, d2, alphabet, bound, op = question = _question(rng)
+        want = definition(*question)
+        got = bounded_equivalent(*question)
+        assert got == want, (i, d1.code, d2.code, op)
+        if got is not None:
+            assert serialize_picture(got) == serialize_picture(want)
+            unequal += 1
+            witness_sizes.add(got.size)
+        seen_ops.add(op)
+        seen_modes |= {d1, d2}
+    assert seen_ops == set(OP_NAMES) and seen_modes == set(ALL_MODES)
+    assert 200 < unequal < 1000
+    # witnesses come from every 3-cell size of the tied bound
+    assert {HexSize(1, 1, 3), HexSize(1, 3, 1), HexSize(3, 1, 1)} <= witness_sizes
+
+
+def test_equal_question_builds_no_picture(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle built or transformed a member picture")
+
+    for name in ("picture_from_cells", "apply_op", "accepted_set", "image_set"):
+        monkeypatch.setattr(langtools, name, refuse)
+    rng = random.Random(8009)
+    for _ in range(5):
+        a = random_ghrfa(rng)
+        assert bounded_equivalent(a, CR, mirror_within_lines(a), CR, AB, BOUND2,
+                                  op="r0") is None
+
+
+def _invalid():
+    return automaton(BOUSTROPHEDON, ["f"], ["b"], AB,
+                     [("f", "a", "b")], [("f", "b"), ("b", "f")], "f", ["f"])
+
+
+@pytest.mark.parametrize("case", ["invalid a1", "invalid a2", "kind d1", "kind d2",
+                                  "alphabet", "op"])
+def test_inputs_checked_before_enumeration(case, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated before checking the question")
+
+    monkeypatch.setattr(langtools, "_accepted_words", refuse)
+    a1, d1, a2, d2, alphabet, op = m_all(), CB, m_all(), CB, AB, "R0"
+    error = ValueError
+    if case == "invalid a1":
+        a1, error = _invalid(), InvalidAutomatonError
+    elif case == "invalid a2":
+        a2, error = _invalid(), InvalidAutomatonError
+    elif case == "kind d1":
+        d1 = CR
+    elif case == "kind d2":
+        d2 = CR
+    elif case == "alphabet":
+        alphabet = ("a", "b", "c")
+    else:
+        op = "R6"
+    with pytest.raises(error):
+        bounded_equivalent(a1, d1, a2, d2, alphabet, BOUND2, op)
+
+
+@pytest.mark.parametrize("args", [("--d1", "R:R0"), ("--d2", "R:r3"), ("--op", "R6")])
+def test_equiv_refuses_bad_question_with_exit_2(capsys, tmp_path, args):
+    path = tmp_path / "all.hxa"
+    path.write_text(serialize_automaton(m_all()))
+    argv = {"--a1": str(path), "--d1": "B:R0", "--a2": str(path), "--d2": "B:R0",
+            "--op": "R0", "--max-side": "2"}
+    argv[args[0]] = args[1]
+    code = main([x for kv in argv.items() for x in kv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "error" in captured.err

@@ -177,6 +177,28 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
     assert unequal > 100
 
 
+def test_exact_oracle_agrees_with_enumeration_on_dense_languages(rng):
+    # the same agreement where nearly every picture is accepted: thousands
+    # of accepted words per size, and witnesses among a few pictures
+    from hexscan import DirectionMode, OP_NAMES
+
+    boustrophedon = [m_all(), m_some("a"), m_at_most(9), m_at_most(12)]
+    returning = [m_all(kind=RETURNING), hbfa_to_hrfa(m_some("a")), hbfa_to_hrfa(m_at_most(9))]
+    pools = {BOUSTROPHEDON: boustrophedon, RETURNING: returning}
+    unequal = 0
+    for size in _sizes_up_to_cells(13):
+        single = SizeBound(frozenset({size}))
+        for k1, k2 in itertools.product(pools, repeat=2):
+            a1, a2 = rng.choice(pools[k1]), rng.choice(pools[k2])
+            element = rng.choice(OP_NAMES)
+            d1, d2 = DirectionMode(k1, element), DirectionMode(k2, element)
+            exact = exact_equivalent_for_size(a1, d1, a2, d2, size)
+            assert exact == bounded_equivalent(a1, d1, a2, d2, AB, single), (
+                size, k1, k2, element)
+            unequal += exact is not None
+    assert unequal > 100
+
+
 def test_exact_oracle_witness_on_lines_read_in_opposite_orientations():
     # rejects iff the first cell it reads on line 1, which it reads
     # backwards, holds b: the witness pins exactly that cell
