@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .hexgrid import BORDER_SYMBOL, Cell, FormatError, HexPicture, RESERVED_SYMBOLS
 from .scan import (
@@ -56,12 +56,6 @@ class HexAutomaton:
     @property
     def states(self) -> frozenset[str]:
         return self.forward_states | self.backward_states
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind} automaton: {len(self.states)} states, "
-            f"{len(self.value_rules)} value rules, {len(self.border_rules)} border rules"
-        )
 
     # Derived once per automaton and kept in its instance dict, so they are
     # freed with it; the fields are immutable, so neither can go stale.
@@ -159,6 +153,16 @@ def require_valid(a: HexAutomaton) -> None:
         raise InvalidAutomatonError(list(a._diagnostics))
 
 
+def _check_question(a: HexAutomaton, d: DirectionMode, symbols: Iterable[str]) -> None:
+    """Raise unless `a` is valid, `d` is of its kind and `symbols` are in its alphabet."""
+    require_valid(a)
+    if d.kind != a.kind:
+        raise ValueError(f"mode kind {d.kind} does not match automaton kind {a.kind}")
+    missing = set(symbols) - a.alphabet
+    if missing:
+        raise ValueError(f"symbols {sorted(missing)} outside automaton alphabet")
+
+
 def is_deterministic(a: HexAutomaton) -> bool:
     """True iff no state has two rules on the same symbol, `#` included."""
     require_valid(a)
@@ -235,14 +239,9 @@ def run(
     Each line is consumed in the plan's reading order, `b` flagged where the
     plan reads it backwards, and followed by one border read.
     """
-    require_valid(a)
     if mode is None:
         mode = canonical_mode(a.kind)
-    if mode.kind != a.kind:
-        raise ValueError(f"mode kind {mode.kind} does not match automaton kind {a.kind}")
-    extra = picture.symbols() - a.alphabet
-    if extra:
-        raise ValueError(f"picture symbols outside automaton alphabet: {sorted(extra)}")
+    _check_question(a, mode, picture.symbols())
     idx = a._indexed
     value, border = idx.value, idx.border
     plan = scan_lines(picture.size, mode)
@@ -272,9 +271,9 @@ def determinize(a: HexAutomaton) -> HexAutomaton:
     Forward subsets step to forward subsets on symbols and to backward
     subsets on `#` (and vice versa), so rule typing survives.  Only nonempty
     reachable subsets are kept; the result is deterministic and accepts the
-    same pictures under every direction mode.  A subset is named by its
-    members joined with `+` in braces; if two reachable subsets get the same
-    name (a state name containing `+`), ValueError names both.
+    same pictures under every direction mode.  A subset is named by the
+    positions of its members in the input's sorted state names, joined with
+    `+` in braces (`{0+2}`), so no two subsets share a name.
     """
     require_valid(a)
     idx = a._indexed
@@ -299,16 +298,10 @@ def determinize(a: HexAutomaton) -> HexAutomaton:
             if nxt not in is_forward:
                 is_forward[nxt] = not is_forward[subset] if flips else True
                 pending.append(nxt)
-    names: dict[int, str] = {}
-    owners: dict[str, int] = {}
-    for subset in is_forward:
-        name = names[subset] = "{" + "+".join(idx.to_states(subset)) + "}"
-        other = owners.setdefault(name, subset)
-        if other != subset:
-            raise ValueError(
-                f"subsets {idx.to_states(other)} and {idx.to_states(subset)} "
-                f"would both be named {name!r}"
-            )
+    names = {
+        subset: "{" + "+".join(str(i) for i in range(subset.bit_length()) if subset >> i & 1) + "}"
+        for subset in is_forward
+    }
     return HexAutomaton(
         kind=a.kind,
         forward_states=frozenset(names[s] for s, fwd in is_forward.items() if fwd),
@@ -396,8 +389,11 @@ def parse_automaton(text: str) -> tuple[HexAutomaton, DirectionMode | None]:
     )
     if a._diagnostics:
         raise FormatError("invalid automaton: " + "; ".join(a._diagnostics))
-    if direction is not None and direction.kind != a.kind:
-        raise FormatError("direction kind does not match automaton kind")
+    if direction is not None:
+        try:
+            _check_question(a, direction, ())
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
     return a, direction
 
 

@@ -1,13 +1,18 @@
 """Bounded picture enumeration and exact language-equivalence oracles.
 
 Everything here decides statements about automaton languages restricted to a
-finite set of sizes, in one of two ways:
+finite set of sizes.  Each thing is decided once: pictures are ordered by
+`picture_sort_key` (cell count, size, row-major symbols), an op-image of a
+language is the same machine's language in another mode (the op-image of
+the language in mode g is the language in mode `compose(g, invert(op))`),
+and `automata._check_question` alone checks a question's machine, mode
+kind and alphabet.  There are two oracles:
 
   * the enumeration oracle (`bounded_equivalent`) lists the accepted symbol
-    words of every size in a bound, moves each into the row-major order of
-    the op-image's cells with one cell permutation per size, and compares
-    the sets of words; it builds pictures only for the witness candidates
-    (`accepted_set` builds every member, for callers that want pictures);
+    words of every image size in a bound, moves each into row-major order
+    with one cell permutation per size, and compares the two sets of words;
+    it builds one picture, the witness (`accepted_set` builds every member,
+    for callers that want pictures);
   * the exact per-size oracle (`exact_equivalent_for_size`) enumerates no
     pictures.  It advances the reachable pairs of frontier sets one cell at a
     time, deduplicating after every cell and memoizing each step.  On a line
@@ -38,10 +43,9 @@ from .hexgrid import (
     cells,
     picture_from_cells,
     row_widths,
-    serialize_picture,
 )
-from .symmetry import apply_op, cell_map, check_op, transform_size
-from .automata import HexAutomaton, _union, require_valid
+from .symmetry import apply_op, check_op, compose, invert, transform_size
+from .automata import HexAutomaton, _check_question, _union
 from .scan import DirectionMode, ScanPlan, scan_lines
 
 
@@ -79,9 +83,17 @@ class LanguageSample:
     members: frozenset[HexPicture]
 
 
-def picture_sort_key(picture: HexPicture) -> tuple[int, str]:
-    """Deterministic reporting order: cell count, then serialized text."""
-    return cell_count(picture.size), serialize_picture(picture)
+def picture_sort_key(
+    picture: HexPicture,
+) -> tuple[int, tuple[int, int, int], tuple[tuple[str, ...], ...]]:
+    """The one picture order: cell count, then size, then row-major symbols.
+
+    `SizeBound.sorted_sizes`, `enumerate_pictures` and both oracles'
+    witnesses follow it.  Wherever every side is at most 9 and every symbol
+    character sorts above the space, it agrees with ordering by cell count,
+    then serialized text.
+    """
+    return cell_count(picture.size), picture.size.as_tuple(), picture.rows
 
 
 def _picture(size: HexSize, flat: tuple[str, ...]) -> HexPicture:
@@ -97,8 +109,9 @@ def _picture(size: HexSize, flat: tuple[str, ...]) -> HexPicture:
 def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[HexPicture]:
     """Every picture over the alphabet with size in the bound, exactly once.
 
-    Pictures stream in `picture_sort_key` order: sizes by cell count, and
-    within a size row-major assignments over the sorted alphabet.
+    Pictures stream in `picture_sort_key` order: sizes as `sorted_sizes`
+    lists them, and within a size row-major assignments over the sorted
+    alphabet.
     """
     symbols = sorted(set(alphabet))
     if not symbols:
@@ -164,28 +177,17 @@ def _accepted_words(
     return order, list(suffixes.get(idx.start_mask, ()))
 
 
-def _check_question(a: HexAutomaton, d: DirectionMode, alphabet: frozenset[str]) -> None:
-    require_valid(a)
-    if d.kind != a.kind:
-        raise ValueError(f"mode kind {d.kind} does not match automaton kind {a.kind}")
-    missing = alphabet - a.alphabet
-    if missing:
-        raise ValueError(f"alphabet symbols {sorted(missing)} outside automaton alphabet")
-
-
 def _row_major_words(
-    a: HexAutomaton, size: HexSize, d: DirectionMode, symbols: tuple[str, ...], op: str = "R0"
+    a: HexAutomaton, size: HexSize, d: DirectionMode, symbols: tuple[str, ...]
 ) -> Iterator[tuple[str, ...]]:
-    """The accepted words at `size`, each as its op-image's symbols in row-major order.
+    """The accepted words at `size`, each as its symbols in row-major order.
 
-    One `itemgetter`, built from `cell_map(op, size)` and the consumption
-    order, moves every word's symbols to the cells of
-    `transform_size(op, size)`; no picture is built.
+    One `itemgetter`, built from the consumption order, moves every word's
+    symbols to their cells; no picture is built.
     """
     order, words = _accepted_words(a, size, d, symbols)
-    mapping = cell_map(op, size)
-    position = {mapping[cell]: i for i, cell in enumerate(order)}
-    at = [position[cell] for cell in cells(transform_size(op, size))]
+    position = {cell: i for i, cell in enumerate(order)}
+    at = [position[cell] for cell in cells(size)]
     # a one-cell word is already in row-major order, and itemgetter with a
     # single index would return a bare symbol
     return map(itemgetter(*at) if len(at) > 1 else tuple, words)
@@ -228,29 +230,24 @@ def bounded_equivalent(
 ) -> HexPicture | None:
     """None iff a2's accepted set equals the op-image of a1's.
 
-    Otherwise the smallest picture (by cell count, then serialized text) in
-    the symmetric difference is returned.  Both sides are compared as sets
-    of symbol words in the row-major order of the image size: a1's accepted
-    words at each size s are permuted onto `transform_size(op, s)`, a2's
-    words there onto its own cells.  Sizes are walked by cell count, which
-    every op preserves, and the walk stops at the first cell count with a
-    difference; pictures are built only for that count's differing words,
-    the witness candidates.
+    Otherwise the smallest picture by `picture_sort_key` in the symmetric
+    difference is returned.  The op-image of a1's language in mode g is
+    a1's language in mode `compose(g, invert(op))`, so both sides are read
+    at the image sizes, as sets of symbol words in row-major order.  Sizes
+    are walked in `sorted_sizes` order and the walk stops at the first size
+    with a difference; one picture is built, from its smallest word.
     """
     alphabet = frozenset(alphabet)
+    check_op(op)
+    image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
     _check_question(a1, d1, alphabet)
     _check_question(a2, d2, alphabet)
-    check_op(op)
     symbols = tuple(sorted(alphabet))
-    for _, sizes in itertools.groupby(bound.sorted_sizes(), key=cell_count):
-        candidates = []
-        for size in sizes:
-            image = transform_size(op, size)
-            diff = set(_row_major_words(a1, size, d1, symbols, op))
-            diff.symmetric_difference_update(_row_major_words(a2, image, d2, symbols))
-            candidates.extend(_picture(image, flat) for flat in diff)
-        if candidates:
-            return min(candidates, key=picture_sort_key)
+    for size in bound.image(op).sorted_sizes():
+        diff = set(_row_major_words(a1, size, image_mode, symbols))
+        diff.symmetric_difference_update(_row_major_words(a2, size, d2, symbols))
+        if diff:
+            return _picture(size, min(diff))
     return None
 
 
@@ -366,32 +363,27 @@ def exact_equivalent_for_size(
     M'[p] = union of M[q] over q in delta(p, w), and applied to that
     automaton's frontier at the line's end.
 
-    Directions must share the same plan geometry (equal elements); kinds may
-    differ.  Returns None when equal, else the smallest counterexample by
-    `picture_sort_key`.  It is built greedily: cells are fixed in row-major
-    order, each to the first symbol in sorted order for which a pair search
-    restricted to the cells fixed so far still reaches a mismatch (the last
-    symbol needs no search).  That costs at most cells * (|alphabet| - 1)
-    pair searches, and gives the first mismatch of `enumerate_pictures`.
+    The alphabet defaults to the symbols both automata share.  Each
+    (automaton, mode) pair is checked as every oracle checks it; this one
+    also needs a non-empty alphabet and modes with the same element (the
+    same plan geometry), while kinds may differ.  Returns None when equal,
+    else the smallest counterexample by `picture_sort_key`.  It is built
+    greedily: cells are fixed in row-major order, each to the first symbol
+    in sorted order for which a pair search restricted to the cells fixed
+    so far still reaches a mismatch (the last symbol needs no search).
+    That costs at most cells * (|alphabet| - 1) pair searches, and gives
+    the first mismatch of `enumerate_pictures`.
     """
-    require_valid(a1)
-    require_valid(a2)
+    symbols = tuple(sorted(set(a1.alphabet & a2.alphabet if alphabet is None else alphabet)))
+    _check_question(a1, d1, symbols)
+    _check_question(a2, d2, symbols)
     if d1.element != d2.element:
         raise ValueError(
             "exact per-size comparison requires directions with the same element; "
             f"got {d1.code} vs {d2.code}"
         )
-    if d1.kind != a1.kind or d2.kind != a2.kind:
-        raise ValueError("direction kinds must match the automata kinds")
-    if alphabet is None:
-        alphabet = a1.alphabet & a2.alphabet
-    symbols = tuple(sorted(set(alphabet)))
     if not symbols:
         raise ValueError("alphabet must be non-empty")
-    for a in (a1, a2):
-        missing = set(symbols) - a.alphabet
-        if missing:
-            raise ValueError(f"alphabet symbols {sorted(missing)} outside automaton alphabet")
 
     search = _PairSearch(a1, a2, (scan_lines(size, d1), scan_lines(size, d2)), symbols)
     fixed: dict[Cell, str] = {}

@@ -97,10 +97,18 @@ def m_parity(alphabet=("a",)):
                      vr, br, "fe", ["fe", "be"])
 
 
-def m_plus_named():
-    """Returning machine whose subsets {x,y} and {x+y} share the name `{x+y}`.
+def m_invalid():
+    """Boustrophedon machine whose forward rule targets a backward state."""
+    return automaton(BOUSTROPHEDON, ["f"], ["b"], ("a", "b"),
+                     [("f", "a", "b")], [("f", "b"), ("b", "f")], "f", ["f"])
 
-    It rejects the size-(1,1,1) picture `b`: `x+y` has no border rule.
+
+def m_plus_named():
+    """Returning machine with a `+` in a state name.
+
+    Subsets {x,y} and {x+y} would share the name `{x+y}` if subsets were
+    named by pasting member names with `+`.  It rejects the size-(1,1,1)
+    picture `b`: `x+y` has no border rule.
     """
     return automaton(RETURNING, ["s", "x", "y", "x+y", "f"], [], ("a", "b"),
                      [("s", "a", "x"), ("s", "a", "y"), ("s", "b", "x+y")],

@@ -7,6 +7,7 @@ tests/test_acceptance.py` to see the per-criterion lines.
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -394,3 +395,42 @@ def test_criterion_13_exact_gate_to_side_4():
         for size in sizes:
             assert exact_equivalent_for_size(a, CB, conv, CR, size) is None, (i, size)
     _report(13, time.time() - start, 60, "50 determinizations + 30 conversions x 64 sizes")
+
+
+def test_criterion_13_pools_tell_mutants_apart():
+    """Kill rates of criterion 13's pools, by the exact oracle at max side 4.
+
+    A mutant is caught on a machine when some size of the 64 tells it from
+    the machine.  The counts measured when this test was written are the
+    floors.  No machine catches every single finality flip of its
+    determinization, and side 4 tells the unreversed reading apart on no
+    more machines than side 2 does.
+    """
+    start = time.time()
+    sizes = _sizes_with_max_side(4)
+
+    def caught(a, da, mutant, dm):
+        return any(exact_equivalent_for_size(a, da, mutant, dm, s) is not None for s in sizes)
+
+    rng = random.Random(707)
+    conversion = {"unreversed": 0, "1[": 0, "3[": 0}
+    for _ in range(30):
+        a = random_ghbfa(rng, max_per_partition=3)
+        conversion["unreversed"] += caught(a, CB, replace(a, kind=RETURNING), CR)
+        conv = hbfa_to_hrfa(a)
+        for prefix in ("1[", "3["):
+            kept = frozenset(f for f in conv.finals if not f.startswith(prefix))
+            conversion[prefix] += caught(a, CB, replace(conv, finals=kept), CR)
+    assert conversion["unreversed"] >= 2, conversion
+    assert conversion["1["] >= 11 and conversion["3["] >= 11, conversion
+
+    rng = random.Random(606)
+    flips = {"some subset": 0, "start": 0}
+    for _ in range(50):
+        a = random_ghbfa(rng, max_per_partition=4)
+        d = determinize(a)
+        flips["some subset"] += any(
+            caught(a, CB, replace(d, finals=d.finals ^ {s}), CB) for s in sorted(d.states))
+        flips["start"] += caught(a, CB, replace(d, finals=d.finals ^ {d.start}), CB)
+    assert flips["some subset"] >= 37 and flips["start"] >= 9, flips
+    _report(13, time.time() - start, 60, f"kill counts {conversion} {flips}")

@@ -25,7 +25,7 @@ from hexscan import (
 )
 from hexscan.automata import InvalidAutomatonError
 from hexscan.hexgrid import Cell, FormatError
-from hexscan.langtools import SizeBound, bounded_equivalent
+from hexscan.langtools import SizeBound, bounded_equivalent, exact_equivalent_for_size
 
 from conftest import m_all, m_none, m_parity, m_plus_named, random_ghbfa, random_ghrfa
 
@@ -279,12 +279,20 @@ def test_determinize_pool_tells_flipped_finality():
     assert killed["last by name"] >= 13, killed
 
 
-def test_determinize_refuses_colliding_subset_names():
+def test_determinize_names_subsets_by_position():
+    # {x,y} and {x+y} would share the name {x+y} if subsets pasted input
+    # names; named by input positions they are {2+4} and {3}
     a = m_plus_named()
     assert not run(a, make_uniform(HexSize(1, 1, 1), "b"))
-    # {x,y} and {x+y} would both be named {x+y}, merging their rules
-    with pytest.raises(ValueError, match=r"\('x', 'y'\) and \('x\+y',\).*'\{x\+y\}'"):
-        determinize(a)
+    d = determinize(a)
+    assert is_deterministic(d)
+    assert {"{2+4}", "{3}"} <= d.states
+    cr = canonical_mode(RETURNING)
+    assert bounded_equivalent(a, cr, d, cr, ["a", "b"], SizeBound.max_side(2)) is None
+    sizes = SizeBound.max_side(4).sorted_sizes()
+    assert len(sizes) == 64
+    for size in sizes:
+        assert exact_equivalent_for_size(a, cr, d, cr, size) is None, size
 
 
 def test_serialize_parse_roundtrip(rng):

@@ -7,6 +7,7 @@ from hexscan import (
     BOUSTROPHEDON,
     HexSize,
     cell_count,
+    determinize,
     make_uniform,
     parse_automaton,
     parse_picture,
@@ -182,15 +183,14 @@ def test_to_rfa_command(capsys, tmp_path):
     assert parsed.kind == "returning"
 
 
-@pytest.mark.parametrize("command, machine", [
-    ("determinize", m_plus_named),
-])
-def test_colliding_state_names_exit_2(capsys, tmp_path, command, machine):
+def test_determinize_builds_plus_named_states(capsys, tmp_path):
+    # subsets are named by input positions, so `+` in an input name is no
+    # separator to collide on
     path = tmp_path / "a.hxa"
-    path.write_text(serialize_automaton(machine()))
-    code, out, err = run_cli(capsys, command, "--automaton", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    path.write_text(serialize_automaton(m_plus_named()))
+    code, out, _ = run_cli(capsys, "determinize", "--automaton", str(path))
+    assert code == 0
+    assert parse_automaton(out)[0] == determinize(m_plus_named())
 
 
 def test_to_rfa_builds_pipe_named_states(capsys, tmp_path):

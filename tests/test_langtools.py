@@ -23,9 +23,11 @@ from hexscan.langtools import (
     image_set,
     picture_sort_key,
 )
+from hexscan.automata import InvalidAutomatonError
 from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
-from conftest import m_all, m_at_most, m_none, m_parity, m_some, random_ghbfa, random_ghrfa
+from conftest import (m_all, m_at_most, m_invalid, m_none, m_parity, m_some, random_ghbfa,
+                      random_ghrfa)
 
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
@@ -60,6 +62,24 @@ def test_enumeration_unique_and_ordered():
     assert len(set(pics)) == len(pics)
     keys = [picture_sort_key(p) for p in pics]
     assert keys == sorted(keys)
+
+
+# the six sizes of 10 cells: text order puts (10,1,1) before (2,2,3)
+TEN_CELLS = SizeBound(frozenset(
+    HexSize(*t) for t in ((1, 1, 10), (1, 10, 1), (10, 1, 1), (2, 2, 3), (2, 3, 2), (3, 2, 2))))
+
+
+def test_enumeration_follows_picture_order_at_sides_of_ten():
+    pics = list(enumerate_pictures(["a"], TEN_CELLS))
+    assert len(pics) == 6
+    keys = [picture_sort_key(p) for p in pics]
+    assert keys == sorted(keys)
+
+
+def test_bounded_equivalent_witness_follows_picture_order_at_sides_of_ten():
+    bound = SizeBound(frozenset({HexSize(10, 1, 1), HexSize(2, 2, 3)}))
+    w = bounded_equivalent(m_all(), CB, m_none(), CB, ["a"], bound)
+    assert w == make_uniform(HexSize(2, 2, 3), "a")
 
 
 def test_enumeration_rejects_empty_alphabet():
@@ -251,6 +271,37 @@ def test_exact_oracle_cross_kind():
     w = exact_equivalent_for_size(a, CB, m_none(), CB, even)
     assert w is not None and w.size == even
     assert exact_equivalent_for_size(m_all(), CB, m_none(), CB, size) is not None
+
+
+def _ask(entry, a, d, symbol):
+    """Ask one question about (a, d) over {symbol} through each entry point."""
+    one = HexSize(1, 1, 1)
+    bound = SizeBound(frozenset({one}))
+    if entry == "run":
+        return run(a, make_uniform(one, symbol), d)
+    if entry == "accepted_set":
+        return accepted_set(a, d, [symbol], bound)
+    if entry == "bounded_equivalent":
+        return bounded_equivalent(a, d, m_all(), CB, [symbol], bound)
+    return exact_equivalent_for_size(a, d, m_all(), CB, one, [symbol])
+
+
+@pytest.mark.parametrize("case", ["mode kind", "foreign symbol", "invalid machine"])
+def test_every_entry_point_checks_a_question_alike(case):
+    a, d, symbol, error = m_all(), CB, "a", ValueError
+    if case == "mode kind":
+        d = CR
+    elif case == "foreign symbol":
+        symbol = "z"
+    else:
+        a, error = m_invalid(), InvalidAutomatonError
+    messages = set()
+    for entry in ("run", "accepted_set", "bounded_equivalent", "exact_equivalent_for_size"):
+        with pytest.raises(ValueError) as info:
+            _ask(entry, a, d, symbol)
+        assert type(info.value) is error, entry
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
 
 
 def test_exact_oracle_self_equivalence(rng):
