@@ -14,14 +14,14 @@ kind and alphabet.  There are two oracles:
     it builds one picture, the witness (`accepted_set` builds every member,
     for callers that want pictures);
   * the exact per-size oracle (`exact_equivalent_for_size`) enumerates no
-    pictures.  It advances the reachable pairs of frontier sets one cell at a
-    time, deduplicating after every cell and memoizing each step.  On a line
-    the two automata read in opposite orientations (the odd lines of a
-    boustrophedon machine against a returning one), one of them carries the
-    relation of the line's symbols read so far in reverse, one bitmask per
-    state, and applies it to its frontier at the line's end.  On a mismatch
-    the smallest counterexample is built greedily, cell by cell in row-major
-    order, with at most cells * (|alphabet| - 1) further pair searches.
+    pictures.  For two modes whose plans read the same lines in the same
+    order, it advances the reachable pairs of frontier sets one cell at a
+    time, deduplicating after every cell and memoizing each step.  Where
+    one plan reads a line reversed (B:g against R:g, g against r0 after g),
+    one automaton carries the relation of the line's symbols read so far in
+    reverse, one bitmask per state, and applies it at the line's end.  On a
+    mismatch the smallest counterexample is built greedily, cell by cell in
+    row-major order, with at most cells * (|alphabet| - 1) further searches.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
@@ -46,7 +46,7 @@ from .hexgrid import (
 )
 from .symmetry import apply_op, check_op, compose, invert, transform_size
 from .automata import HexAutomaton, _check_question, _union
-from .scan import DirectionMode, ScanPlan, scan_lines
+from .scan import DirectionMode, scan_lines
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,14 @@ def _picture(size: HexSize, flat: tuple[str, ...]) -> HexPicture:
     return HexPicture(size, tuple(rows))
 
 
+def _symbols(alphabet: Iterable[str]) -> tuple[str, ...]:
+    """The alphabet as a sorted tuple of symbols; every question needs one."""
+    symbols = tuple(sorted(set(alphabet)))
+    if not symbols:
+        raise ValueError("alphabet must be non-empty")
+    return symbols
+
+
 def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[HexPicture]:
     """Every picture over the alphabet with size in the bound, exactly once.
 
@@ -113,9 +121,7 @@ def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[He
     lists them, and within a size row-major assignments over the sorted
     alphabet.
     """
-    symbols = sorted(set(alphabet))
-    if not symbols:
-        raise ValueError("alphabet must be non-empty")
+    symbols = _symbols(alphabet)
     for size in bound.sorted_sizes():
         for flat in itertools.product(symbols, repeat=cell_count(size)):
             yield _picture(size, flat)
@@ -199,15 +205,14 @@ def accepted_set(
     alphabet: Iterable[str],
     bound: SizeBound,
 ) -> LanguageSample:
-    alphabet = frozenset(alphabet)
-    _check_question(a, d, alphabet)
-    symbols = tuple(sorted(alphabet))
+    symbols = _symbols(alphabet)
+    _check_question(a, d, symbols)
     members = frozenset(
         _picture(size, flat)
         for size in bound.sizes
         for flat in _row_major_words(a, size, d, symbols)
     )
-    return LanguageSample(alphabet=alphabet, bound=bound, members=members)
+    return LanguageSample(alphabet=frozenset(symbols), bound=bound, members=members)
 
 
 def image_set(sample: LanguageSample, op: str) -> LanguageSample:
@@ -237,12 +242,11 @@ def bounded_equivalent(
     are walked in `sorted_sizes` order and the walk stops at the first size
     with a difference; one picture is built, from its smallest word.
     """
-    alphabet = frozenset(alphabet)
+    symbols = _symbols(alphabet)
     check_op(op)
     image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
-    _check_question(a1, d1, alphabet)
-    _check_question(a2, d2, alphabet)
-    symbols = tuple(sorted(alphabet))
+    _check_question(a1, d1, symbols)
+    _check_question(a2, d2, symbols)
     for size in bound.image(op).sorted_sizes():
         diff = set(_row_major_words(a1, size, image_mode, symbols))
         diff.symmetric_difference_update(_row_major_words(a2, size, d2, symbols))
@@ -298,26 +302,28 @@ class _Stepper:
 class _PairSearch:
     """Reachable frontier pairs of two automata at one size, cell by cell.
 
-    Each line's cells are read in one orientation.  An automaton that reads
-    the line that way steps its frontier; on lines the two automata read in
-    opposite orientations (odd lines of a boustrophedon machine against a
-    returning one), the automaton with fewer states carries a relation
-    instead.  Pairs are deduplicated after every cell.
+    The plans must read the same lines in the same order.  Where one plan
+    reads a line reversed, the automaton with fewer states carries a
+    relation and the search reads the line as the other automaton does.
+    Pairs are deduplicated after every cell.
     """
 
-    def __init__(self, a1: HexAutomaton, a2: HexAutomaton, plans: tuple[ScanPlan, ScanPlan],
-                 symbols: tuple[str, ...]):
+    def __init__(self, a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton,
+                 d2: DirectionMode, size: HexSize, symbols: tuple[str, ...]):
         self.sides = (_Stepper(a1), _Stepper(a2))
         self.symbols = symbols
         carrier = 0 if len(a1.states) <= len(a2.states) else 1
-        reader = plans[1 - carrier]
         # (cells in reading order, index of the relation carrier or None)
         self.lines = []
-        for i, order in enumerate(plans[0].reading):
-            if plans[0].backward[i] == plans[1].backward[i]:
-                self.lines.append((order, None))
+        for pair in itertools.zip_longest(scan_lines(size, d1).reading,
+                                          scan_lines(size, d2).reading, fillvalue=()):
+            if pair[0] == pair[1]:
+                self.lines.append((pair[0], None))
+            elif pair[0] == pair[1][::-1]:
+                self.lines.append((pair[1 - carrier], carrier))
             else:
-                self.lines.append((reader.reading[i], carrier))
+                raise ValueError("exact per-size comparison requires plans reading the same lines "
+                                 f"in the same order; {d1.code} and {d2.code} differ at {size}")
 
     def mismatch(self, fixed: dict[Cell, str]) -> bool:
         """True iff exactly one automaton accepts some picture that agrees with `fixed`."""
@@ -363,29 +369,22 @@ def exact_equivalent_for_size(
     M'[p] = union of M[q] over q in delta(p, w), and applied to that
     automaton's frontier at the line's end.
 
-    The alphabet defaults to the symbols both automata share.  Each
-    (automaton, mode) pair is checked as every oracle checks it; this one
-    also needs a non-empty alphabet and modes with the same element (the
-    same plan geometry), while kinds may differ.  Returns None when equal,
-    else the smallest counterexample by `picture_sort_key`.  It is built
-    greedily: cells are fixed in row-major order, each to the first symbol
-    in sorted order for which a pair search restricted to the cells fixed
-    so far still reaches a mismatch (the last symbol needs no search).
-    That costs at most cells * (|alphabet| - 1) pair searches, and gives
-    the first mismatch of `enumerate_pictures`.
+    The alphabet defaults to the symbols both automata share and must be
+    non-empty.  Each (automaton, mode) pair is checked as every oracle
+    checks it; the plans must also read the same lines in the same order at
+    this size, each line in either orientation (as B:g and R:g, or g and r0
+    after g, do).  Returns None when equal, else the smallest counterexample
+    by `picture_sort_key`.  It is built greedily: cells are fixed in
+    row-major order, each to the first symbol in sorted order for which a
+    pair search restricted to the cells fixed so far still reaches a
+    mismatch (the last symbol needs no search).  That costs at most
+    cells * (|alphabet| - 1) pair searches, and gives the first mismatch of
+    `enumerate_pictures`.
     """
-    symbols = tuple(sorted(set(a1.alphabet & a2.alphabet if alphabet is None else alphabet)))
+    symbols = _symbols(a1.alphabet & a2.alphabet if alphabet is None else alphabet)
     _check_question(a1, d1, symbols)
     _check_question(a2, d2, symbols)
-    if d1.element != d2.element:
-        raise ValueError(
-            "exact per-size comparison requires directions with the same element; "
-            f"got {d1.code} vs {d2.code}"
-        )
-    if not symbols:
-        raise ValueError("alphabet must be non-empty")
-
-    search = _PairSearch(a1, a2, (scan_lines(size, d1), scan_lines(size, d2)), symbols)
+    search = _PairSearch(a1, d1, a2, d2, size, symbols)
     fixed: dict[Cell, str] = {}
     if not search.mismatch(fixed):
         return None

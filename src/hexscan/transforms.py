@@ -134,7 +134,7 @@ def point_reflection(a: HexAutomaton) -> HexAutomaton:
     require_valid(a)
     if a.kind != RETURNING:
         raise ValueError("input must be a returning automaton")
-    x = {q: f"x[{q}]" for q in a.states}
+    x = {q: f"x[{i}]" for i, q in enumerate(sorted(a.states))}
     last = {y for y, f in a.border_rules if f in a.finals}
     value_rules = {(x[q], sym, x[p]) for p, sym, q in a.value_rules}
     value_rules.update(("x0", sym, x[p]) for p, sym, q in a.value_rules if q in last)

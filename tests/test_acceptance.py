@@ -434,3 +434,38 @@ def test_criterion_13_pools_tell_mutants_apart():
         flips["start"] += caught(a, CB, replace(d, finals=d.finals ^ {d.start}), CB)
     assert flips["some subset"] >= 37 and flips["start"] >= 9, flips
     _report(13, time.time() - start, 60, f"kill counts {conversion} {flips}")
+
+
+def test_criterion_14_within_line_mirror_exact_to_side_4():
+    """Criteria 8 and 9's r0 questions, by the exact oracle at max side 4.
+
+    The same seeded pools, at every size with max side at most 4: the r0
+    clause of criterion 8, and criterion 9's question for each rotation g,
+    asked one size at a time.  Modes g and r0 after g read the same lines
+    in opposite orientations, which the exact oracle answers directly.
+    """
+    start = time.time()
+    sizes = _sizes_with_max_side(4)
+    r0 = DirectionMode(RETURNING, "r0")
+    rng = random.Random(808)
+    for i in range(30):
+        a = random_ghrfa(rng, max_states=3)
+        mirrored = mirror_within_lines(a)
+        for size in sizes:
+            assert exact_equivalent_for_size(a, r0, mirrored, CR, size) is None, (i, size)
+    rng = random.Random(909)
+    pool = [random_ghrfa(rng, max_states=3) for _ in range(6)]
+    pool += [random_ghbfa(rng, max_per_partition=1) for _ in range(4)]
+    for i, a in enumerate(pool):
+        if a.kind == BOUSTROPHEDON:
+            base, d_in = hbfa_to_hrfa(a), CB
+        else:
+            base, d_in = a, CR
+        built = family_normalizer(base, "r0")
+        for g in filter(is_rotation, OP_NAMES):
+            d1 = DirectionMode(d_in.kind, invert(g))
+            d2 = DirectionMode(RETURNING, compose("r0", invert(g)))
+            for size in sizes:
+                assert exact_equivalent_for_size(a, d1, built, d2, size) is None, (i, g, size)
+    _report(14, time.time() - start, 60,
+            "30 r0 mirrors + 10 automata x 6 rotations, x 64 sizes")

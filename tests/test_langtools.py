@@ -9,6 +9,7 @@ from hexscan import (
     apply_op,
     canonical_mode,
     cell_count,
+    compose,
     make_uniform,
     modes_for_kind,
     run,
@@ -195,6 +196,20 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
                 size, k1, k2, element)
             unequal += exact is not None
     assert unequal > 100
+    # r0-relative modes g and r0 after g: the plans read every line in
+    # opposite orientations, or, across kinds, every even line
+    unequal = 0
+    for size in _sizes_up_to_cells(13):
+        single = SizeBound(frozenset({size}))
+        for (k1, k2), g in itertools.product(kinds, ("R0", "R1", "r1", "r4")):
+            for e1, e2 in ((g, compose("r0", g)), (compose("r0", g), g)):
+                a1, a2 = rng.choice(pools[k1]), rng.choice(pools[k2])
+                d1, d2 = DirectionMode(k1, e1), DirectionMode(k2, e2)
+                exact = exact_equivalent_for_size(a1, d1, a2, d2, size)
+                assert exact == bounded_equivalent(a1, d1, a2, d2, AB, single), (
+                    size, d1.code, d2.code)
+                unequal += exact is not None
+    assert unequal > 100
 
 
 def test_exact_oracle_agrees_with_enumeration_on_dense_languages(rng):
@@ -309,13 +324,28 @@ def test_exact_oracle_self_equivalence(rng):
     assert exact_equivalent_for_size(a, CR, a, CR, HexSize(2, 2, 2)) is None
 
 
-def test_exact_oracle_requires_same_element(rng):
+def test_exact_oracle_requires_same_scan_lines(rng):
+    # R0 reads the {q const} lines, r1 another family: no line corresponds
     from hexscan import DirectionMode
 
     a = random_ghbfa(rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         exact_equivalent_for_size(a, CB, a, DirectionMode(BOUSTROPHEDON, "r1"),
                                   HexSize(2, 2, 2))
+    assert "B:R0" in str(info.value) and "B:r1" in str(info.value)
+
+
+def test_every_oracle_refuses_an_empty_alphabet():
+    bound = SizeBound.max_side(2)
+    asks = [
+        lambda: next(enumerate_pictures([], bound)),
+        lambda: accepted_set(m_all(), CB, [], bound),
+        lambda: bounded_equivalent(m_all(), CB, m_none(), CB, [], bound),
+        lambda: exact_equivalent_for_size(m_all(), CB, m_none(), CB, HexSize(2, 2, 2), []),
+    ]
+    for ask in asks:
+        with pytest.raises(ValueError, match="^alphabet must be non-empty$"):
+            ask()
 
 
 def test_union_over_modes_matches_any_direction(rng):

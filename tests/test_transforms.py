@@ -187,12 +187,13 @@ def _asymmetric_pool(op, seed):
     raise AssertionError(f"400 draws gave only {len(kept)} machines unlike their {op} image")
 
 
-@pytest.mark.parametrize("op, build", [("R3", point_reflection), ("r3", mirror_line_order)])
+@pytest.mark.parametrize("op, build", [("R3", point_reflection), ("r3", mirror_line_order),
+                                       ("r0", mirror_within_lines)])
 def test_mirror_pool_tells_mirror_from_identity(op, build):
     # criterion 8's pool lets the identity pass on 25 of 30 machines; here
     # every machine's language differs from its own image, so it cannot,
-    # and the other mirror fails on most machines
-    other = {"R3": mirror_line_order, "r3": point_reflection}[op]
+    # and another mirror fails on most machines
+    other = {"R3": mirror_line_order, "r3": point_reflection, "r0": mirror_line_order}[op]
     wrong_mirror = 0
     for i, a in enumerate(_asymmetric_pool(op, seed=1808)):
         assert bounded_equivalent(a, CR, build(a), CR, AB, BOUND, op=op) is None, i
@@ -223,11 +224,13 @@ def test_constructions_build_pipe_named_states():
     assert bounded_equivalent(m, CB, conv, CR, ("0", "1"), BOUND) is None
     assert bounded_equivalent(r, CR, r0, CR, ("0", "1"), BOUND, op="r0") is None
     assert bounded_equivalent(r, CR, r3, CR, ("0", "1"), BOUND, op="r3") is None
-    # the exact oracle compares equal directions only: r0 is checked as
+    # the exact oracle reads r0 directly, each line reversed, and r3 as
     # test_mirror_compositions_exact_to_side_4 does, by r3 = R3 r0 = r0 R3
     other_order = mirror_within_lines(point_reflection(r))
+    within = DirectionMode(RETURNING, "r0")
     for size in sizes:
         assert exact_equivalent_for_size(m, CB, conv, CR, size) is None, size
+        assert exact_equivalent_for_size(r, within, r0, CR, size) is None, size
         assert exact_equivalent_for_size(r3, CR, other_order, CR, size) is None, size
     out = family_normalizer(r, "R3")
     assert len(out.states) == len(r.states) + 2 == 5
