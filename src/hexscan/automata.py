@@ -12,13 +12,17 @@ their backward set may be empty and their rules are untyped.
 A run consumes, per scan line, the line's cells followed by one border
 symbol, and accepts iff a final state is reachable after the last border
 read.  Nondeterminism is resolved by frontier-set simulation, which is exact
-because the visit order never depends on the data.
+because the visit order never depends on the data: a picture is read as one
+fixed word, so a run is subset construction done lazily, one step per
+(frontier, symbol) pair the run meets, each computed once per call.  A run
+rejects as soon as its frontier empties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .hexgrid import BORDER_SYMBOL, Cell, FormatError, HexPicture, RESERVED_SYMBOLS
@@ -237,32 +241,60 @@ def run(
     """Run the automaton over a picture; returns bool, or (bool, RunTrace).
 
     Each line is consumed in the plan's reading order, `b` flagged where the
-    plan reads it backwards, and followed by one border read.
+    plan reads it backwards, and followed by one border read.  Without a
+    trace, the plan's `reader` puts the picture's symbols in reading order,
+    and each (frontier, symbol) step is computed once per call: subset
+    construction done lazily, on the frontiers this run meets.  The run
+    rejects as soon as a read leaves no state.
     """
     if mode is None:
         mode = canonical_mode(a.kind)
-    _check_question(a, mode, picture.symbols())
+    flat = tuple(chain.from_iterable(picture.rows))
+    _check_question(a, mode, flat)
+    plan = scan_lines(picture.size, mode)
+    word = plan.reader(flat)
+    if trace:
+        return _run_traced(a, plan, word)
+    idx = a._indexed
+    succ = {**idx.value, BORDER_SYMBOL: idx.border}
+    # frontier -> symbol -> next frontier, for the frontiers met so far;
+    # local to the call, so a long-lived machine does not grow with its runs
+    steps: dict[int, dict[str, int]] = {}
+    frontier = idx.start_mask
+    table = steps[frontier] = {}
+    start = 0
+    for end in plan.line_ends:
+        for symbol in chain(word[start:end], (BORDER_SYMBOL,)):
+            nxt = table.get(symbol)
+            if nxt is None:
+                nxt = table[symbol] = _union(succ[symbol], frontier)
+            if nxt != frontier:
+                if not nxt:
+                    return False
+                frontier = nxt
+                table = steps.get(frontier)
+                if table is None:
+                    table = steps[frontier] = {}
+        start = end
+    return bool(frontier & idx.finals_mask)
+
+
+def _run_traced(a: HexAutomaton, plan: ScanPlan, word: tuple[str, ...]) -> tuple[bool, RunTrace]:
+    """`run` symbol by symbol, recording the states after every read."""
     idx = a._indexed
     value, border = idx.value, idx.border
-    plan = scan_lines(picture.size, mode)
     frontier = idx.start_mask
     steps: list[TraceStep] = []
-    rows = picture.rows
-    lcap = picture.size.l - 1
+    symbols = iter(word)
     for line, backward in zip(plan.reading, plan.backward):
         flag = "b" if backward else "f"
-        for cell in line:
-            symbol = rows[cell.r][cell.q + min(cell.r, lcap)]
+        for cell, symbol in zip(line, symbols):
             frontier = _union(value[symbol], frontier)
-            if trace:
-                steps.append(TraceStep(len(steps), symbol, cell, flag, idx.to_states(frontier)))
+            steps.append(TraceStep(len(steps), symbol, cell, flag, idx.to_states(frontier)))
         frontier = _union(border, frontier)
-        if trace:
-            steps.append(TraceStep(len(steps), BORDER_SYMBOL, None, flag, idx.to_states(frontier)))
+        steps.append(TraceStep(len(steps), BORDER_SYMBOL, None, flag, idx.to_states(frontier)))
     accepted = bool(frontier & idx.finals_mask)
-    if trace:
-        return accepted, RunTrace(plan, tuple(steps), accepted)
-    return accepted
+    return accepted, RunTrace(plan, tuple(steps), accepted)
 
 
 def determinize(a: HexAutomaton) -> HexAutomaton:

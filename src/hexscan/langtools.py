@@ -129,7 +129,7 @@ def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[He
 
 def _accepted_words(
     a: HexAutomaton, size: HexSize, d: DirectionMode, symbols: tuple[str, ...]
-) -> tuple[list, list[tuple[str, ...]]]:
+) -> list[tuple[str, ...]]:
     """All symbol words (in consumption order) the automaton accepts at a size.
 
     A forward pass collects the nonempty frontiers reachable at each position
@@ -138,7 +138,6 @@ def _accepted_words(
     those of the next position, so common prefixes share their frontier work
     and dead frontiers prune whole subtrees.  Neither pass recurses, so the
     run length is not bounded by the stack.
-    Returns (cells in consumption order, accepted words).
     """
     idx = a._indexed
     rows = [(sym, idx.value[sym]) for sym in symbols]
@@ -179,8 +178,7 @@ def _accepted_words(
             if acc:
                 before[frontier] = tuple(acc)
         suffixes = before
-    order = [cell for line in plan.reading for cell in line]
-    return order, list(suffixes.get(idx.start_mask, ()))
+    return list(suffixes.get(idx.start_mask, ()))
 
 
 def _row_major_words(
@@ -188,15 +186,16 @@ def _row_major_words(
 ) -> Iterator[tuple[str, ...]]:
     """The accepted words at `size`, each as its symbols in row-major order.
 
-    One `itemgetter`, built from the consumption order, moves every word's
-    symbols to their cells; no picture is built.
+    The plan's `reader` puts row-major positions in reading order; one
+    `itemgetter` of its inverse moves every word's symbols to their cells,
+    and no picture is built.
     """
-    order, words = _accepted_words(a, size, d, symbols)
-    position = {cell: i for i, cell in enumerate(order)}
-    at = [position[cell] for cell in cells(size)]
-    # a one-cell word is already in row-major order, and itemgetter with a
-    # single index would return a bare symbol
-    return map(itemgetter(*at) if len(at) > 1 else tuple, words)
+    words = _accepted_words(a, size, d, symbols)
+    count = cell_count(size)
+    if count == 1:  # a one-cell word is already in row-major order
+        return iter(words)
+    read = scan_lines(size, d).reader(range(count))
+    return map(itemgetter(*sorted(range(count), key=read.__getitem__)), words)
 
 
 def accepted_set(

@@ -15,10 +15,13 @@ backwards, a returning mode reads every line forwards.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from .hexgrid import Cell, HexSize
+from .hexgrid import Cell, HexSize, cell_count, row_widths
 from .symmetry import OP_NAMES, cell_map, check_op, invert, transform_size
 
 BOUSTROPHEDON = "boustrophedon"
@@ -74,6 +77,8 @@ class ScanPlan:
 
     `lines` is the plan geometry, shared by both scanner kinds.  A run reads
     line i as `reading[i]`: the line reversed when `backward[i]`, else as is.
+    `reader` and `line_ends` give the same reading as positions; both are
+    computed on first use, so building a plan does not pay for them.
     """
 
     size: HexSize
@@ -91,6 +96,34 @@ class ScanPlan:
 
     def cells_in_order(self) -> tuple[Cell, ...]:
         return tuple(c for line in self.lines for c in line)
+
+    @cached_property
+    def reader(self) -> Callable[[Sequence], tuple]:
+        """Maps a picture's symbols in row-major order to its symbols in reading order.
+
+        One `itemgetter` of every cell's row-major position, in reading order;
+        applied to `range(cell_count)` it gives that permutation itself.
+        """
+        index = _indices(cell_count(self.size))
+        lcap = self.size.l - 1
+        # row r's cells start at position first[r] and at column -min(r, l-1)
+        first = itertools.accumulate(row_widths(self.size), initial=0)
+        base = [start + min(r, lcap) for r, start in enumerate(first)]
+        at = [index[base[r] + q] for line in self.reading for r, q in line]
+        # itemgetter with a single index would return a bare symbol, and a
+        # one-cell picture is already in reading order
+        return itemgetter(*at) if len(at) > 1 else tuple
+
+    @cached_property
+    def line_ends(self) -> tuple[int, ...]:
+        """Where each line ends in the reading word: after it comes a border read."""
+        return tuple(itertools.accumulate(len(line) for line in self.lines))
+
+
+@lru_cache(maxsize=64)
+def _indices(count: int) -> tuple[int, ...]:
+    """One shared tuple of positions per cell count, so plans share their ints."""
+    return tuple(range(count))
 
 
 def _canonical_lines(size: HexSize) -> tuple[tuple[Cell, ...], ...]:

@@ -23,9 +23,10 @@ from hexscan import (
     serialize_automaton,
     validate,
 )
-from hexscan.automata import InvalidAutomatonError
-from hexscan.hexgrid import Cell, FormatError
+from hexscan.automata import InvalidAutomatonError, _union
+from hexscan.hexgrid import Cell, FormatError, cells as size_cells, picture_from_cells
 from hexscan.langtools import SizeBound, bounded_equivalent, exact_equivalent_for_size
+from hexscan.transforms import hbfa_to_hrfa
 
 from conftest import m_all, m_none, m_parity, m_plus_named, random_ghbfa, random_ghrfa
 
@@ -191,6 +192,55 @@ def test_first_cell_sensitive_machine_varies_with_mode():
     assert results["B:R0"] is True
     assert any(results.values()) and not all(results.values())
     assert any(run(a, p, m) for m in modes_for_kind(a.kind))
+
+
+def _reference_run(a, picture, mode):
+    """(verdict, whether the frontier emptied before the last border read), cell by cell."""
+    idx = a._indexed
+    frontier = idx.start_mask
+    emptied = False
+    lines = scan_lines(picture.size, mode).reading
+    for i, line in enumerate(lines):
+        for cell in line:
+            frontier = _union(idx.value[picture.get(cell)], frontier)
+        frontier = _union(idx.border, frontier)
+        emptied |= not frontier and i < len(lines) - 1
+    return bool(frontier & idx.finals_mask), emptied
+
+
+def _random_picture(rng, size, alphabet):
+    return picture_from_cells(size, {c: rng.choice(alphabet) for c in size_cells(size)})
+
+
+def test_run_agrees_with_its_trace_and_a_cell_by_cell_reference():
+    rng = random.Random(2024)
+    sizes = [HexSize(1, 1, 1)] + SizeBound.max_side(3).sorted_sizes()
+    emptied = kept = 0
+    for alphabet in (("a", "b"), ("ab", "c1", "xyz")):
+        for _ in range(8):
+            for a in (random_ghbfa(rng, alphabet=alphabet), random_ghrfa(rng, alphabet=alphabet)):
+                for size in sizes:
+                    p = _random_picture(rng, size, alphabet)
+                    for mode in modes_for_kind(a.kind):
+                        want, early = _reference_run(a, p, mode)
+                        assert run(a, p, mode) is want, (mode.code, size)
+                        assert run(a, p, mode, trace=True)[0] is want, (mode.code, size)
+                        emptied += early
+                        kept += not early
+    # the early reject fires on some runs, and some runs read every line
+    assert emptied > 5000 and kept > 5000
+
+
+def test_run_reads_a_ten_thousand_cell_picture_in_every_mode():
+    size = HexSize(57, 58, 58)
+    assert cell_count(size) == 9804
+    p = _random_picture(random.Random(58), size, ("a", "b"))
+    parity = m_parity(alphabet=("a", "b"))
+    for a in (parity, hbfa_to_hrfa(parity)):
+        for mode in modes_for_kind(a.kind):
+            assert _reference_run(a, p, mode) == (True, False), mode.code
+            assert run(a, p, mode) is True, mode.code
+            assert run(a, p, mode, trace=True)[0] is True, mode.code
 
 
 def test_direction_coherence_small(rng):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from hexscan import (
     make_uniform,
     modes_for_kind,
     run,
+    scan_lines,
     serialize_picture,
 )
 from hexscan.langtools import (
@@ -25,6 +27,7 @@ from hexscan.langtools import (
     picture_sort_key,
 )
 from hexscan.automata import InvalidAutomatonError
+from hexscan.hexgrid import cells, picture_from_cells
 from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
 from conftest import (m_all, m_at_most, m_invalid, m_none, m_parity, m_some, random_ghbfa,
@@ -255,6 +258,63 @@ def test_exact_oracle_witness_on_lines_read_in_opposite_orientations():
                 w = exact_equivalent_for_size(a1, d1, a2, d2, size)
                 assert w is not None and sorted(w.symbols()) == ["a", "b"]
                 assert w == bounded_equivalent(a1, d1, a2, d2, AB, single)
+
+
+def _reversed_lines(w, d1, d2):
+    """`w` with the cells of every line the two plans read in opposite orientations reversed."""
+    partner = {}
+    for l1, l2 in zip(scan_lines(w.size, d1).reading, scan_lines(w.size, d2).reading):
+        partner.update(zip(l1, l2))
+    return picture_from_cells(w.size, {c: w.get(partner[c]) for c in cells(w.size)})
+
+
+def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
+    # Pairs whose witness stops being a counterexample once the lines read
+    # in opposite orientations are reversed: they tell a line from its
+    # reverse at a fixed cell.  A search that walks such a line in the
+    # relation carrier's order has both machines read it backwards, so its
+    # witness is one of those reversed pictures and never the right one.
+    from hexscan import DirectionMode
+    from hexscan import langtools
+
+    rng = random.Random(1111)
+    sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(1, 3, 3))
+    pool = []
+    for draw in range(400):
+        g = rng.choice(("R0", "r1", "R2", "r4"))
+        if draw % 2 == 0:  # B:g against R:g: odd lines reversed
+            a1, d1 = random_ghbfa(rng), DirectionMode(BOUSTROPHEDON, g)
+            d2 = DirectionMode(RETURNING, g)
+        else:  # g against r0 after g: every line reversed
+            a1, d1 = random_ghrfa(rng), DirectionMode(RETURNING, g)
+            d2 = DirectionMode(RETURNING, compose("r0", g))
+        a2, size = random_ghrfa(rng), rng.choice(sizes)
+        w = exact_equivalent_for_size(a1, d1, a2, d2, size)
+        if w is None:
+            continue
+        r = _reversed_lines(w, d1, d2)
+        if run(a1, r, d1) != run(a2, r, d2):
+            continue
+        assert w == bounded_equivalent(a1, d1, a2, d2, AB, SizeBound(frozenset({size})))
+        pool.append((a1, d1, a2, d2, size, w))
+        if len(pool) == 24:
+            break
+    else:
+        raise AssertionError(f"400 draws gave only {len(pool)} pairs that tell a line from its reverse")
+    # both machines carry the relation somewhere in the pool
+    assert {len(a1.states) <= len(a2.states) for a1, _, a2, _, _, _ in pool} == {True, False}
+
+    walk = langtools._PairSearch.__init__
+
+    def walk_in_carrier_order(self, *args):
+        walk(self, *args)
+        self.lines = [(order if carrier is None else order[::-1], carrier)
+                      for order, carrier in self.lines]
+
+    monkeypatch.setattr(langtools._PairSearch, "__init__", walk_in_carrier_order)
+    killed = sum(exact_equivalent_for_size(a1, d1, a2, d2, size) != w
+                 for a1, d1, a2, d2, size, w in pool)
+    assert killed == len(pool)
 
 
 @pytest.mark.parametrize("side", [4, 8])
