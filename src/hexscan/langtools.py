@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .hexgrid import (
@@ -130,14 +129,19 @@ def enumerate_pictures(alphabet: Iterable[str], bound: SizeBound) -> Iterator[He
 def _accepted_words(
     a: HexAutomaton, size: HexSize, d: DirectionMode, symbols: tuple[str, ...]
 ) -> list[tuple[str, ...]]:
-    """All symbol words (in consumption order) the automaton accepts at a size.
+    """All words the automaton accepts at a size, each as its symbols in row-major order.
 
     A forward pass collects the nonempty frontiers reachable at each position
     of the run, stepping each (position, frontier) once per symbol.  A
-    backward pass then builds the accepted suffixes of each of them from
-    those of the next position, so common prefixes share their frontier work
-    and dead frontiers prune whole subtrees.  Neither pass recurses, so the
-    run length is not bounded by the stack.
+    backward pass then builds the words accepted from each of them out of
+    those of the next position, as one list per remaining cell (a column)
+    rather than one tuple per word: a frontier with a single live step
+    shares its successor's columns, and one with several joins theirs.  So
+    common prefixes share their frontier work, dead frontiers prune whole
+    subtrees, and no suffix is copied into a tuple of its own.  The start's
+    columns, put in row-major order, are zipped into the words, and no
+    picture is built.  Neither pass recurses, so the run length is not
+    bounded by the stack.
     """
     idx = a._indexed
     rows = [(sym, idx.value[sym]) for sym in symbols]
@@ -164,38 +168,35 @@ def _accepted_words(
                         steps.append((sym, nxt))
         edges.append(out)
         layer = {nxt for steps in out.values() for _, nxt in steps}
-    suffixes = {frontier: ((),) for frontier in layer if frontier & idx.finals_mask}
-    for out in reversed(edges):
-        before: dict[int, tuple[tuple[str, ...], ...]] = {}
+    # count[frontier] words are accepted from frontier on, and
+    # columns[frontier][k] holds the k-th remaining cell's symbol of each
+    count = {frontier: 1 for frontier in layer if frontier & idx.finals_mask}
+    columns: dict[int, tuple[list[str], ...]] = dict.fromkeys(count, ())
+    for out, border in zip(reversed(edges), reversed(borders)):
+        before_count: dict[int, int] = {}
+        before: dict[int, tuple[list[str], ...]] = {}
         for frontier, steps in out.items():
-            acc: list[tuple[str, ...]] = []
-            for sym, nxt in steps:
-                tails = suffixes.get(nxt, ())
-                if sym is None:
-                    acc.extend(tails)
-                else:
-                    acc.extend((sym,) + tail for tail in tails)
-            if acc:
-                before[frontier] = tuple(acc)
-        suffixes = before
-    return list(suffixes.get(idx.start_mask, ()))
-
-
-def _row_major_words(
-    a: HexAutomaton, size: HexSize, d: DirectionMode, symbols: tuple[str, ...]
-) -> Iterator[tuple[str, ...]]:
-    """The accepted words at `size`, each as its symbols in row-major order.
-
-    The plan's `reader` puts row-major positions in reading order; one
-    `itemgetter` of its inverse moves every word's symbols to their cells,
-    and no picture is built.
-    """
-    words = _accepted_words(a, size, d, symbols)
-    count = cell_count(size)
-    if count == 1:  # a one-cell word is already in row-major order
-        return iter(words)
-    read = scan_lines(size, d).reader(range(count))
-    return map(itemgetter(*sorted(range(count), key=read.__getitem__)), words)
+            steps = [step for step in steps if step[1] in count]
+            if len(steps) == 1:
+                sym, nxt = steps[0]
+                before_count[frontier] = count[nxt]
+                before[frontier] = columns[nxt] if border else ([sym] * count[nxt], *columns[nxt])
+            elif steps:
+                first: list[str] = []
+                for sym, nxt in steps:
+                    first += [sym] * count[nxt]
+                joined = zip(*[columns[nxt] for _, nxt in steps])
+                before_count[frontier] = len(first)
+                before[frontier] = (first, *map(list, map(itertools.chain.from_iterable, joined)))
+        count, columns = before_count, before
+    if idx.start_mask not in columns:
+        return []
+    # the k-th cell read is cell read[k] in row-major order
+    read = plan.reader(range(cell_count(size)))
+    row_major: list[list[str]] = [[]] * len(read)
+    for k, column in zip(read, columns[idx.start_mask]):
+        row_major[k] = column
+    return list(zip(*row_major))
 
 
 def accepted_set(
@@ -209,7 +210,7 @@ def accepted_set(
     members = frozenset(
         _picture(size, flat)
         for size in bound.sizes
-        for flat in _row_major_words(a, size, d, symbols)
+        for flat in _accepted_words(a, size, d, symbols)
     )
     return LanguageSample(alphabet=frozenset(symbols), bound=bound, members=members)
 
@@ -247,8 +248,8 @@ def bounded_equivalent(
     _check_question(a1, d1, symbols)
     _check_question(a2, d2, symbols)
     for size in bound.image(op).sorted_sizes():
-        diff = set(_row_major_words(a1, size, image_mode, symbols))
-        diff.symmetric_difference_update(_row_major_words(a2, size, d2, symbols))
+        diff = set(_accepted_words(a1, size, image_mode, symbols))
+        diff.symmetric_difference_update(_accepted_words(a2, size, d2, symbols))
         if diff:
             return _picture(size, min(diff))
     return None

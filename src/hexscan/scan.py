@@ -3,26 +3,27 @@
 A scan plan decomposes a hexagon into the {q constant} family of lines.  The
 canonical plan visits lines left to right (q = -(l-1) .. m-1), each line top
 to bottom.  A mode carries a scanner kind plus a symmetry op g; its plan is
-the canonical plan of the g-transformed size pulled back through g's inverse,
-so scanning a picture in mode g visits the same symbols, in the same order,
-as scanning the g-image canonically.
+the affine image of the canonical lines of the g-transformed size under g's
+inverse (`symmetry.affine`), so scanning a picture in mode g visits the same
+symbols, in the same order, as scanning the g-image canonically.
 
 Mode codes are `B:<op>` (boustrophedon) and `R:<op>` (returning), 24 total.
-The two kinds share plan geometry and differ only in reading orientation,
-which `scan_lines` alone decides: a boustrophedon mode reads every odd line
-backwards, a returning mode reads every line forwards.
+The two kinds share plan geometry, down to one `lines` tuple per (size, op),
+and differ only in reading orientation, which `scan_lines` alone decides: a
+boustrophedon mode reads every odd line backwards, a returning mode reads
+every line forwards.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .hexgrid import Cell, HexSize, cell_count, row_widths
-from .symmetry import OP_NAMES, cell_map, check_op, invert, transform_size
+from .symmetry import OP_NAMES, affine, check_op, invert, transform_size
 
 BOUSTROPHEDON = "boustrophedon"
 RETURNING = "returning"
@@ -75,7 +76,9 @@ ALL_MODES: tuple[DirectionMode, ...] = modes_for_kind(BOUSTROPHEDON) + modes_for
 class ScanPlan:
     """An ordered decomposition of a hexagon's cells into straight lines.
 
-    `lines` is the plan geometry, shared by both scanner kinds.  A run reads
+    `lines` is the plan geometry: the canonical lines of the transformed size
+    mapped through one affine map, and the same tuple in the plans of both
+    scanner kinds for one size and element.  A run reads
     line i as `reading[i]`: the line reversed when `backward[i]`, else as is.
     `reader` and `line_ends` give the same reading as positions; both are
     computed on first use, so building a plan does not pay for them.
@@ -126,32 +129,44 @@ def _indices(count: int) -> tuple[int, ...]:
     return tuple(range(count))
 
 
-def _canonical_lines(size: HexSize) -> tuple[tuple[Cell, ...], ...]:
-    l, m, n = size.l, size.m, size.n
-    lines = []
-    for q in range(-(l - 1), m):
-        r_lo = max(0, -q)
-        r_hi = min(l + n - 2, m + n - 2 - q)
-        lines.append(tuple(Cell(r, q) for r in range(r_lo, r_hi + 1)))
-    return tuple(lines)
+# Builds a Cell from an (r, q) pair without a Python-level __new__ call
+_cell = partial(tuple.__new__, Cell)
+_backwards = itemgetter(slice(None, None, -1))
+_RETURNING_MODES = {mode.element: mode for mode in modes_for_kind(RETURNING)}
 
 
 @lru_cache(maxsize=4096)
 def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
     """Scan plan for the given size and mode.
 
-    The geometry ignores the kind; the reading orientation of every line is
-    decided here and nowhere else.
+    The canonical lines of the g-transformed size, each the cells (r, q) of
+    one column q from the top, go through the affine map of g's inverse; a
+    line's image advances by that map's linear part, so it is built from
+    two ranges.  The canonical mode takes the same path with the identity.
+    Both kinds share one `lines`: a boustrophedon plan takes it from the
+    returning plan of the same element.  The reading orientation of every
+    line is decided here and nowhere else.
     """
-    if mode.is_canonical:
-        lines = _canonical_lines(size)
-    else:
-        g = mode.element
-        transformed = transform_size(g, size)
-        back = cell_map(invert(g), transformed)
-        lines = tuple(
-            tuple(back[c] for c in line) for line in _canonical_lines(transformed)
-        )
-    backward = tuple(mode.kind == BOUSTROPHEDON and i % 2 == 1 for i in range(len(lines)))
-    reading = tuple(line[::-1] if b else line for line, b in zip(lines, backward))
-    return ScanPlan(size, lines, backward, reading)
+    g = mode.element
+    if mode.kind == BOUSTROPHEDON:
+        lines = scan_lines(size, _RETURNING_MODES[g]).lines
+        k = len(lines)
+        reading = list(lines)
+        reading[1::2] = map(_backwards, lines[1::2])  # every odd line backwards
+        return ScanPlan(size, lines, ((False, True) * k)[:k], tuple(reading))
+    target = transform_size(g, size)
+    a, b, c, d, e, f = affine(invert(g), target)
+    l, m, n = target.l, target.m, target.n
+    built = []
+    for q in range(1 - l, m):
+        # column q runs from row r down; one of its two ranges below may be
+        # constant, and then the other one stops it
+        r = -q if q < 0 else 0
+        length = (l + n - 1 if q <= m - l else m + n - 1 - q) - r
+        r0 = a * r + b * q + e
+        q0 = c * r + d * q + f
+        rows = range(r0, r0 + a * length, a) if a else itertools.repeat(r0)
+        cols = range(q0, q0 + c * length, c) if c else itertools.repeat(q0)
+        built.append(tuple(map(_cell, zip(rows, cols))))
+    lines = tuple(built)
+    return ScanPlan(size, lines, (False,) * len(lines), lines)

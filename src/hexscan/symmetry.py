@@ -1,9 +1,12 @@
 """The 12-element point group of the hexagon acting on hexagonal pictures.
 
 Operations are named R0..R5 (rotations by multiples of 60 degrees, R0 the
-identity) and r0..r5 (reflections, axes 30 degrees apart).  Each is realised
-as a signed permutation of cube coordinates (x, y, z) = (q, -q-r, r), so all
-actions are exact cell relabelings.
+identity) and r0..r5 (reflections, axes 30 degrees apart).  Each is defined
+as a signed permutation of cube coordinates (x, y, z) = (q, -q-r, r).  On the
+cells of a given size it acts as one integer affine map of (r, q), which
+`affine` gives: the permutation read in (r, q) is its linear part, and a
+translation puts the image hexagon in canonical position.  So all actions are
+exact cell relabelings.
 
 Anchoring:
 
@@ -46,6 +49,20 @@ _CUBE_MAPS: dict[str, tuple[tuple[int, int, int], bool]] = {
     "r4": ((2, 1, 0), False),
     "r5": ((1, 0, 2), True),
 }
+
+# The cube coordinates x = q, y = -q-r, z = r, each as its (r, q) coefficients
+_CUBE_AXES = ((0, 1), (-1, -1), (1, 0))
+
+
+def _linear(perm: tuple[int, int, int], negate: bool) -> tuple[int, int, int, int]:
+    """(a, b, c, d): the image's z = r is a*r + b*q and its x = q is c*r + d*q."""
+    sign = -1 if negate else 1
+    (a, b), (c, d) = _CUBE_AXES[perm[2]], _CUBE_AXES[perm[0]]
+    return sign * a, sign * b, sign * c, sign * d
+
+
+# Each op's linear part on (r, q), built once from its cube permutation
+_LINEAR: dict[str, tuple[int, int, int, int]] = {op: _linear(*m) for op, m in _CUBE_MAPS.items()}
 
 # Normal forms over the generators {R1, r1}; words are written outermost
 # first, so evaluation applies the rightmost letter first.
@@ -102,16 +119,6 @@ def normal_form(op: str) -> OpWord:
     return NORMAL_FORMS[check_op(op)]
 
 
-def _apply_cube(op: str, cell: Cell) -> tuple[int, int]:
-    """Map a cell through op's cube permutation; returns raw (r, q)."""
-    x, z = cell.q, cell.r
-    cube = (x, -x - z, z)
-    perm, neg = _CUBE_MAPS[op]
-    sign = -1 if neg else 1
-    out = (sign * cube[perm[0]], sign * cube[perm[1]], sign * cube[perm[2]])
-    return out[2], out[0]
-
-
 def transform_size(op: str, size: HexSize) -> HexSize:
     """Size of the image of a picture of the given size under op.
 
@@ -126,21 +133,37 @@ def transform_size(op: str, size: HexSize) -> HexSize:
     return HexSize((ex + ez - ey + 1) // 2, (ex + ey - ez + 1) // 2, (ey + ez - ex + 1) // 2)
 
 
+def affine(op: str, size: HexSize) -> tuple[int, int, int, int, int, int]:
+    """Op's action on the cells of `size` as an integer affine map of (r, q).
+
+    Returns (a, b, c, d, e, f): cell (r, q) goes to
+    (a*r + b*q + e, c*r + d*q + f), a cell of `transform_size(op, size)`.
+    The linear part is op's cube permutation read in (r, q).  The translation
+    puts the image in canonical position, where its z = r and its -y = q + r
+    both have minimum 0.  A linear map takes its minimum over a hexagon at a
+    corner, so the ranges of x, y and z over the six corners give both.
+    """
+    a, b, c, d = _LINEAR[check_op(op)]
+    perm, negate = _CUBE_MAPS[op]
+    l, m, n = size.l, size.m, size.n
+    low, high = (1 - l, 2 - m - n, 0), (m - 1, 0, l + n - 2)
+    if negate:
+        low, high = (-high[0], -high[1], -high[2]), (-low[0], -low[1], -low[2])
+    e = -low[perm[2]]
+    return a, b, c, d, e, high[perm[1]] - e
+
+
 @lru_cache(maxsize=4096)
 def cell_map(op: str, size: HexSize) -> dict[Cell, Cell]:
     """Bijection from cells of `size` onto cells of `transform_size(op, size)`.
 
-    The linear image is translated so the target hexagon sits in canonical
-    position (rows from 0, leftmost column -(l'-1)); that translation is
-    unique, which makes the maps compose exactly with `compose`.
+    The image hexagon sits in canonical position (rows from 0, leftmost
+    column -(l'-1)); that translation is unique, which makes the maps compose
+    exactly with `compose`.
     """
-    target = transform_size(op, size)
-    raw = {cell: _apply_cube(op, cell) for cell in cells(size)}
-    min_r = min(r for r, _ in raw.values())
-    min_q = min(q for _, q in raw.values())
-    dr = -min_r
-    dq = -(target.l - 1) - min_q
-    return {cell: Cell(r + dr, q + dq) for cell, (r, q) in raw.items()}
+    a, b, c, d, e, f = affine(op, size)
+    return {cell: Cell(a * cell.r + b * cell.q + e, c * cell.r + d * cell.q + f)
+            for cell in cells(size)}
 
 
 def apply_op(op: str, picture: HexPicture) -> HexPicture:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hexscan import BOUSTROPHEDON, RETURNING, HexSize, automaton
+from hexscan import BOUSTROPHEDON, RETURNING, HexSize, automaton, transform_size
 from hexscan.hexgrid import Cell, cells, picture_from_cells
 
 
@@ -45,6 +45,33 @@ def hexagon_cells_oracle(l: int, m: int, n: int) -> set[Cell]:
         for q in range(min(qs), max(qs) + 1):
             filled.add(Cell(r, q))
     return filled
+
+
+# Each op as a signed permutation of cube coordinates (x, y, z) = (q, -q-r, r):
+# (indices, negate), with image[i] = (-1 if negate else 1) * source[indices[i]].
+CUBE_MAPS = {
+    "R0": ((0, 1, 2), False), "R1": ((1, 2, 0), True), "R2": ((2, 0, 1), False),
+    "R3": ((0, 1, 2), True), "R4": ((1, 2, 0), False), "R5": ((2, 0, 1), True),
+    "r0": ((0, 2, 1), False), "r1": ((2, 1, 0), True), "r2": ((1, 0, 2), False),
+    "r3": ((0, 2, 1), True), "r4": ((2, 1, 0), False), "r5": ((1, 0, 2), True),
+}
+
+
+def cube_cell_map(op: str, size: HexSize) -> dict[Cell, tuple[int, int]]:
+    """op's cell map, one cell at a time through its cube permutation.
+
+    Each image is translated so the target hexagon's rows start at 0 and its
+    leftmost column is -(l'-1), l' taken from `transform_size`.
+    """
+    perm, negate = CUBE_MAPS[op]
+    sign = -1 if negate else 1
+    raw = {}
+    for cell in cells(size):
+        cube = (cell.q, -cell.q - cell.r, cell.r)
+        raw[cell] = (sign * cube[perm[2]], sign * cube[perm[0]])
+    dr = -min(r for r, _ in raw.values())
+    dq = -(transform_size(op, size).l - 1) - min(q for _, q in raw.values())
+    return {cell: (r + dr, q + dq) for cell, (r, q) in raw.items()}
 
 
 def m_all(kind=BOUSTROPHEDON, alphabet=("a", "b")):

@@ -24,10 +24,11 @@ from hexscan import (
     cell_count,
     determinize,
     langtools,
+    scan_lines,
     serialize_automaton,
     serialize_picture,
 )
-from hexscan.automata import InvalidAutomatonError
+from hexscan.automata import InvalidAutomatonError, _union
 from hexscan.cli import main
 from hexscan.langtools import (
     SizeBound,
@@ -152,3 +153,62 @@ def test_equiv_refuses_bad_question_with_exit_2(capsys, tmp_path, args):
     code = main([x for kv in argv.items() for x in kv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and "error" in captured.err
+
+
+def _suffix_words(a, size, d, symbols):
+    """Accepted words by the earlier construction: every suffix built by
+    tuple concatenation, backwards from the accepting frontiers, then each
+    word moved into row-major order."""
+    idx = a._indexed
+    plan = scan_lines(size, d)
+    borders = []
+    for line in plan.reading:
+        borders += [False] * len(line) + [True]
+    edges, layer = [], {idx.start_mask}
+    for border in borders:
+        out = {}
+        for frontier in layer:
+            if border:
+                nxt = _union(idx.border, frontier)
+                out[frontier] = [(None, nxt)] if nxt else []
+            else:
+                out[frontier] = [(sym, nxt) for sym in symbols
+                                 if (nxt := _union(idx.value[sym], frontier))]
+        edges.append(out)
+        layer = {nxt for steps in out.values() for _, nxt in steps}
+    suffixes = {frontier: ((),) for frontier in layer if frontier & idx.finals_mask}
+    for out in reversed(edges):
+        before = {}
+        for frontier, steps in out.items():
+            acc = []
+            for sym, nxt in steps:
+                tails = suffixes.get(nxt, ())
+                acc.extend(tails if sym is None else ((sym,) + tail for tail in tails))
+            if acc:
+                before[frontier] = tuple(acc)
+        suffixes = before
+    read = [cell for line in plan.reading for cell in line]
+    order = sorted(range(len(read)), key=lambda k: read[k])  # cells sort row-major
+    return [tuple(word[k] for k in order) for word in suffixes.get(idx.start_mask, ())]
+
+
+def test_accepted_words_match_suffix_construction():
+    rng = random.Random(8010)
+    machines = [random_ghbfa(rng, max_per_partition=2) for _ in range(4)]
+    machines += [random_ghrfa(rng) for _ in range(4)]
+    accepting = 0
+    for a in machines:
+        for d in ALL_MODES:
+            if d.kind != a.kind:
+                continue
+            for size in BOUND2.sizes:
+                got = langtools._accepted_words(a, size, d, AB)
+                want = _suffix_words(a, size, d, AB)
+                assert len(got) == len(set(got)) == len(want), (d.code, size)
+                assert set(got) == set(want), (d.code, size)
+                accepting += bool(got)
+    assert accepting > 100
+    # a dense language: all 2^13 words at 13 cells
+    dense = langtools._accepted_words(m_all(), HexSize(1, 1, 13), CB, AB)
+    assert len(dense) == 2 ** 13
+    assert set(dense) == set(_suffix_words(m_all(), HexSize(1, 1, 13), CB, AB))

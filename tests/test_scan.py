@@ -13,7 +13,9 @@ from hexscan import (
     scan_lines,
 )
 from hexscan.hexgrid import Cell, cells
-from hexscan.symmetry import OP_NAMES
+from hexscan.symmetry import OP_NAMES, invert, transform_size
+
+from conftest import cube_cell_map
 
 
 def all_small_sizes(limit):
@@ -92,11 +94,45 @@ def test_lines_are_straight_and_maximal(size):
 
 
 def test_kinds_share_plan_geometry():
+    # plans built while both are cached share one lines tuple; a returning
+    # plan evicted and built again would have its own
+    scan_lines.cache_clear()
     for op in OP_NAMES:
         for size in (HexSize(2, 2, 2), HexSize(2, 3, 1)):
             b = scan_lines(size, DirectionMode(BOUSTROPHEDON, op))
             r = scan_lines(size, DirectionMode(RETURNING, op))
-            assert b.lines == r.lines
+            assert b.lines is r.lines
+
+
+def reference_plan(size, mode):
+    """(lines, backward, reading) of a mode's plan, pulled back cell by cell.
+
+    The canonical lines of the transformed size go through the inverse op's
+    cube-formula cell map; shares no code with `scan_lines` or `cell_map`.
+    """
+    target = transform_size(mode.element, size)
+    l, m, n = target.l, target.m, target.n
+    back = cube_cell_map(invert(mode.element), target)
+    lines = []
+    for q in range(-(l - 1), m):
+        rows = range(max(0, -q), min(l + n - 2, m + n - 2 - q) + 1)
+        lines.append(tuple(back[Cell(r, q)] for r in rows))
+    backward = tuple(mode.kind == BOUSTROPHEDON and i % 2 == 1 for i in range(len(lines)))
+    reading = tuple(line[::-1] if b else line for line, b in zip(lines, backward))
+    return tuple(lines), backward, reading
+
+
+def test_plans_match_reference_pullback():
+    large = [parse_direction(c) for c in ("B:R1", "R:r4", "B:R0", "R:R3")]
+    cases = [(size, ALL_MODES) for size in all_small_sizes(6)] + [(HexSize(57, 58, 58), large)]
+    for size, modes in cases:
+        for mode in modes:
+            plan = scan_lines(size, mode)
+            want = reference_plan(size, mode)
+            assert (plan.lines, plan.backward, plan.reading) == want, (size, mode.code)
+            # (r, q) == Cell(r, q), so equality alone would not catch a bare tuple
+            for line in plan.lines + plan.reading:
+                assert all(type(c) is Cell for c in line), (size, mode.code)
 
 
 def test_plan_reads_odd_boustrophedon_lines_backwards():

@@ -14,9 +14,9 @@ from hexscan import (
     transform_size,
 )
 from hexscan.symmetry import OP_NAMES, cell_map, check_op
-from hexscan.hexgrid import cells
+from hexscan.hexgrid import Cell, cells
 
-from conftest import marker_picture
+from conftest import cube_cell_map, marker_picture
 
 # full multiplication table, written out independently of compose();
 # entry TABLE[g][h] is "h first, then g"
@@ -138,8 +138,11 @@ def test_normal_forms_evaluate_pictorially():
 
 
 def test_cell_map_is_bijection_onto_target():
-    for op in OP_NAMES:
-        size = HexSize(2, 3, 4)
-        mapping = cell_map(op, size)
-        assert set(mapping) == set(cells(size))
-        assert set(mapping.values()) == set(cells(transform_size(op, size)))
+    r = range(1, 6)
+    for size in (HexSize(l, m, n) for l in r for m in r for n in r):
+        for op in OP_NAMES:
+            mapping = cell_map(op, size)
+            assert set(mapping) == set(cells(size))
+            assert set(mapping.values()) == set(cells(transform_size(op, size)))
+            assert mapping == cube_cell_map(op, size), (op, size)
+            assert all(type(c) is Cell for c in mapping.values())
