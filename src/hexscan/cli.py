@@ -56,18 +56,6 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _snapshot(picture, consumed_cells) -> str:
-    erased = set(consumed_cells)
-    parts = []
-    for r, row in enumerate(picture.rows):
-        start = hexgrid.offset(picture.size, r)
-        parts.append(" ".join(
-            hexgrid.ERASED_SYMBOL if hexgrid.Cell(r, start + j) in erased else sym
-            for j, sym in enumerate(row)
-        ))
-    return "/".join(parts)
-
-
 def _cmd_run(args) -> int:
     a, default_dir = _load_automaton(args.automaton)
     if args.direction:
@@ -77,17 +65,19 @@ def _cmd_run(args) -> int:
     picture = _load_picture(args.picture)
     if args.trace:
         accepted, trace = run(a, picture, mode, trace=True)
-        consumed = []
+        # the picture's rows, each consumed cell erased as its step is printed
+        rows = [list(row) for row in picture.rows]
         for step in trace.steps:
             states = "{" + ",".join(step.states_after) + "}"
             if step.cell is None:
-                snap = _snapshot(picture, consumed)
+                snap = "/".join(" ".join(row) for row in rows)
                 line = f"{step.position:4d} {step.mode_flag} # -> {states} | {snap}"
             else:
-                consumed.append(step.cell)
+                r, q = step.cell
+                rows[r][q - hexgrid.offset(picture.size, r)] = hexgrid.ERASED_SYMBOL
                 line = (
                     f"{step.position:4d} {step.mode_flag} "
-                    f"({step.cell.r},{step.cell.q})={step.symbol} -> {states}"
+                    f"({r},{q})={step.symbol} -> {states}"
                 )
             sys.stdout.write(line + "\n")
     else:
@@ -181,24 +171,22 @@ def _cmd_group(args) -> int:
     raise ValueError("group requires one of --table, --normal-form, --compose")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hexscan",
-        description="Hexagonal pictures, their symmetry group, and scanning automata.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_render(sub) -> None:
     p = sub.add_parser("render", help="pretty-print a picture")
     p.add_argument("picture")
     p.add_argument("--border", action="store_true", help="include the # ring")
     p.set_defaults(fn=_cmd_render)
 
+
+def _add_transform(sub) -> None:
     p = sub.add_parser("transform", help="apply a symmetry op to a picture")
     p.add_argument("--op", required=True)
     p.add_argument("picture")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_transform)
 
+
+def _add_run(sub) -> None:
     p = sub.add_parser("run", help="run an automaton on a picture")
     p.add_argument("--automaton", required=True)
     p.add_argument("--direction", help="direction code, e.g. B:R0 (default: file or canonical)")
@@ -206,28 +194,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("picture")
     p.set_defaults(fn=_cmd_run)
 
+
+def _add_determinize(sub) -> None:
     p = sub.add_parser("determinize", help="subset construction")
     p.add_argument("--automaton", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_determinize)
 
+
+def _add_to_rfa(sub) -> None:
     p = sub.add_parser("to-rfa", help="convert a boustrophedon automaton to a returning one")
     p.add_argument("--automaton", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_to_rfa)
 
+
+def _add_mirror(sub) -> None:
     p = sub.add_parser("mirror", help="mirror a returning automaton's language")
     p.add_argument("--target", required=True, choices=["r0", "r3", "R3"])
     p.add_argument("--automaton", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_mirror)
 
+
+def _add_enum(sub) -> None:
     p = sub.add_parser("enum", help="enumerate pictures up to a size bound")
     p.add_argument("--alphabet", required=True, help="comma-separated symbols")
     p.add_argument("--max-side", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=_cmd_enum)
 
+
+def _add_equiv(sub) -> None:
     p = sub.add_parser("equiv", help="compare two bounded languages up to a symmetry op")
     p.add_argument("--a1", required=True)
     p.add_argument("--d1", required=True)
@@ -237,19 +235,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-side", type=int, default=2)
     p.set_defaults(fn=_cmd_equiv)
 
+
+def _add_group(sub) -> None:
     p = sub.add_parser("group", help="inspect the symmetry group")
     p.add_argument("--table", action="store_true")
     p.add_argument("--normal-form", metavar="OP")
     p.add_argument("--compose", nargs=2, metavar=("G", "H"))
     p.set_defaults(fn=_cmd_group)
 
+
+# Each command's subparser builder, in the order help lists the commands.
+_SUBPARSERS = {
+    "render": _add_render,
+    "transform": _add_transform,
+    "run": _add_run,
+    "determinize": _add_determinize,
+    "to-rfa": _add_to_rfa,
+    "mirror": _add_mirror,
+    "enum": _add_enum,
+    "equiv": _add_equiv,
+    "group": _add_group,
+}
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The `hexscan` parser, with subparsers for `commands` (default: all)."""
+    parser = argparse.ArgumentParser(
+        prog="hexscan",
+        description="Hexagonal pictures, their symmetry group, and scanning automata.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _SUBPARSERS.items():
+        if commands is None or name in commands:
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named command's subparser is built: all nine cost several
+    # times as much. Text that lists every command (help, a missing or
+    # unknown command, leftover arguments) comes from the full parser.
+    named = argv[:1] if argv and argv[0] in _SUBPARSERS else None
     try:
-        args = parser.parse_args(argv)
+        args, leftover = build_parser(named).parse_known_args(argv)
+        if leftover:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

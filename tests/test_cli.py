@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from hexscan import (
     BOUSTROPHEDON,
+    RETURNING,
     HexSize,
     cell_count,
     determinize,
@@ -15,10 +17,16 @@ from hexscan import (
     serialize_automaton,
     serialize_picture,
     canonical_mode,
+    parse_direction,
 )
-from hexscan.cli import main
+from hexscan.cli import build_parser, main
+from hexscan.hexgrid import Cell, cells
 
-from conftest import m_all, m_none, m_parity, m_pipe_named, m_plus_named, random_ghbfa
+from conftest import (
+    m_all, m_none, m_parity, m_pipe_named, m_plus_named, marker_picture, random_ghbfa,
+)
+
+COMMANDS = "render transform run determinize to-rfa mirror enum equiv group".split()
 
 
 @pytest.fixture
@@ -108,6 +116,40 @@ def test_run_trace_snapshot_tracks_consumption_order(capsys, tmp_path):
                         "--direction", "B:r3", "--trace", str(pic))
     first_border = [ln for ln in out.splitlines() if " # -> " in ln][0]
     assert first_border.endswith("| a a _")
+
+
+# r4 and R2 read whole rows, so each border falls between rows; R1 reads
+# lines across the rows, so each border leaves rows partly erased
+@pytest.mark.parametrize("kind,direction",
+                         [(BOUSTROPHEDON, "B:r4"), (RETURNING, "R:R2"), (BOUSTROPHEDON, "B:R1")])
+def test_run_trace_snapshots_erase_the_cells_consumed_so_far(capsys, tmp_path, kind,
+                                                             direction):
+    size = HexSize(3, 4, 2)
+    picture = marker_picture(size)
+    pic = tmp_path / "m.hxp"
+    pic.write_text(serialize_picture(picture))
+    aut = tmp_path / "a.hxa"
+    aut.write_text(serialize_automaton(m_all(kind, tuple(sorted(picture.symbols())))))
+    code, out, _ = run_cli(capsys, "run", "--automaton", str(aut),
+                           "--direction", direction, "--trace", str(pic))
+    assert code == 0
+    consumed, borders = set(), 0
+    for line in out.splitlines()[:-1]:
+        if " # -> " in line:
+            expected = "/".join(
+                " ".join("_" if c in consumed else picture.get(c)
+                         for c in cells(size) if c.r == r)
+                for r in range(size.row_count)
+            )
+            assert line.split(" | ")[1] == expected
+            borders += 1
+        else:
+            r, q, symbol = re.search(r"\((-?\d+),(-?\d+)\)=(\S+) ", line).groups()
+            cell = Cell(int(r), int(q))
+            assert cell not in consumed and picture.get(cell) == symbol
+            consumed.add(cell)
+    assert len(consumed) == cell_count(size)
+    assert borders == scan_lines(size, parse_direction(direction)).line_count
 
 
 def test_run_trace_final_snapshot_fully_erased(capsys, all_aut, pic222):
@@ -259,13 +301,45 @@ def test_format_error_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+_USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["bogus"],
+    *([command, "-h"] for command in COMMANDS),
+    ["equiv", "--a1", "a.hxa", "--d1", "B:R0", "--a2", "b.hxa"],
+    ["equiv", "--a1", "a.hxa", "--d1", "B:R0", "--a2", "b.hxa", "--d2", "B:R0", "extra"],
+    ["mirror", "--target", "r9"],
+    ["enum", "--max-side", "x"],
+    ["group", "--compose", "R1"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_usage_text_is_the_full_parsers(capsys, argv):
+    # main builds only the named command's parser; what it prints and
+    # returns must be what the parser with all nine commands gives
+    code = main(argv)
+    out, err = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert (code, out, err) == (exc.value.code or 0, expected.out, expected.err)
+
+
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hexscan.cli", "group", "--compose", "r0", "r1"],
-        capture_output=True, text=True,
-    )
+    def hexscan(*argv):
+        return subprocess.run([sys.executable, "-m", "hexscan.cli", *argv],
+                              capture_output=True, text=True)
+
+    proc = hexscan("group", "--compose", "r0", "r1")
     assert proc.returncode == 0
     assert proc.stdout == "R5\n"
+    proc = hexscan("-h")
+    assert proc.returncode == 0
+    assert "{" + ",".join(COMMANDS) + "}" in proc.stdout
+    proc = hexscan("bogus")
+    assert proc.returncode == 2
+    assert "(choose from " + ", ".join(f"'{c}'" for c in COMMANDS) + ")" in proc.stderr
 
 
 def test_run_uses_direction_from_file(capsys, tmp_path, pic222):
