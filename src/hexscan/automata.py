@@ -9,13 +9,14 @@ value rules stay inside one partition and border rules cross between the
 partitions.  Returning machines rescan every line in the same orientation;
 their backward set may be empty and their rules are untyped.
 
-A run consumes, per scan line, the line's cells followed by one border
-symbol, and accepts iff a final state is reachable after the last border
-read.  Nondeterminism is resolved by frontier-set simulation, which is exact
-because the visit order never depends on the data: a picture is read as one
-fixed word, so a run is subset construction done lazily, one step per
-(frontier, symbol) pair the run meets, each computed once per call.  A run
-rejects as soon as its frontier empties.
+A run reads one word, each scan line followed by the border symbol:
+`L1 # L2 # ... LK #`.  A border rule is a rule on `#`, so the rule table has
+one row per symbol, `#` included, and every read steps its symbol's row.  A
+run accepts iff a final state is reachable after the last `#`.
+Nondeterminism is resolved by frontier-set simulation, exact because the
+word never depends on the data, so a run is subset construction done
+lazily: one step per (frontier, symbol) pair it meets, each computed once
+per call.  A run rejects as soon as its frontier empties.
 """
 
 from __future__ import annotations
@@ -71,19 +72,16 @@ class HexAutomaton:
     def _indexed(self) -> "IndexedAutomaton":
         names = tuple(sorted(self.states))
         index = {name: i for i, name in enumerate(names)}
-        value = {sym: [0] * len(names) for sym in self.alphabet}
-        for p, sym, q in self.value_rules:
+        value = {sym: [0] * len(names) for sym in (*self.alphabet, BORDER_SYMBOL)}
+        borders = ((p, BORDER_SYMBOL, q) for p, q in self.border_rules)
+        for p, sym, q in chain(self.value_rules, borders):
             value[sym][index[p]] |= 1 << index[q]
-        border = [0] * len(names)
-        for p, q in self.border_rules:
-            border[index[p]] |= 1 << index[q]
         finals_mask = 0
         for f in self.finals:
             finals_mask |= 1 << index[f]
         return IndexedAutomaton(
             names,
             {sym: tuple(row) for sym, row in value.items()},
-            tuple(border),
             1 << index[self.start],
             finals_mask,
         )
@@ -170,28 +168,18 @@ def _check_question(a: HexAutomaton, d: DirectionMode, symbols: Iterable[str]) -
 def is_deterministic(a: HexAutomaton) -> bool:
     """True iff no state has two rules on the same symbol, `#` included."""
     require_valid(a)
-    seen: set[tuple[str, str]] = set()
-    for p, sym, _ in a.value_rules:
-        if (p, sym) in seen:
-            return False
-        seen.add((p, sym))
-    border_seen: set[str] = set()
-    for p, _ in a.border_rules:
-        if p in border_seen:
-            return False
-        border_seen.add(p)
-    return True
+    return all(mask & (mask - 1) == 0 for row in a._indexed.value.values() for mask in row)
 
 
 class IndexedAutomaton(NamedTuple):
     """Rule tables over bit-indexed states; frontiers are int bitmasks.
 
-    `value[symbol][p]` and `border[p]` are the successor masks of state p.
+    `value[symbol][p]` is the successor mask of state p on `symbol`; the
+    row of `#` holds the border rules.
     """
 
     names: tuple[str, ...]
     value: dict[str, tuple[int, ...]]
-    border: tuple[int, ...]
     start_mask: int
     finals_mask: int
 
@@ -240,59 +228,55 @@ def run(
 ):
     """Run the automaton over a picture; returns bool, or (bool, RunTrace).
 
-    Each line is consumed in the plan's reading order, `b` flagged where the
-    plan reads it backwards, and followed by one border read.  Without a
-    trace, the plan's `reader` puts the picture's symbols in reading order,
-    and each (frontier, symbol) step is computed once per call: subset
-    construction done lazily, on the frontiers this run meets.  The run
-    rejects as soon as a read leaves no state.
+    The run reads the plan's word: each line in reading order, `b` flagged
+    where the plan reads it backwards, then `#`; the plan's `reader` builds
+    it from the picture's symbols, and every read steps its symbol's row.
+    Without a trace, each (frontier, symbol) step is computed once per
+    call: subset construction done lazily, on the frontiers this run meets.
+    The run rejects as soon as a read leaves no state.
     """
     if mode is None:
         mode = canonical_mode(a.kind)
-    flat = tuple(chain.from_iterable(picture.rows))
+    flat = [*chain.from_iterable(picture.rows)]
     _check_question(a, mode, flat)
     plan = scan_lines(picture.size, mode)
+    flat.append(BORDER_SYMBOL)
     word = plan.reader(flat)
     if trace:
         return _run_traced(a, plan, word)
     idx = a._indexed
-    succ = {**idx.value, BORDER_SYMBOL: idx.border}
+    value = idx.value
     # frontier -> symbol -> next frontier, for the frontiers met so far;
     # local to the call, so a long-lived machine does not grow with its runs
     steps: dict[int, dict[str, int]] = {}
     frontier = idx.start_mask
     table = steps[frontier] = {}
-    start = 0
-    for end in plan.line_ends:
-        for symbol in chain(word[start:end], (BORDER_SYMBOL,)):
-            nxt = table.get(symbol)
-            if nxt is None:
-                nxt = table[symbol] = _union(succ[symbol], frontier)
-            if nxt != frontier:
-                if not nxt:
-                    return False
-                frontier = nxt
-                table = steps.get(frontier)
-                if table is None:
-                    table = steps[frontier] = {}
-        start = end
+    for symbol in word:
+        nxt = table.get(symbol)
+        if nxt is None:
+            nxt = table[symbol] = _union(value[symbol], frontier)
+        if nxt != frontier:
+            if not nxt:
+                return False
+            frontier = nxt
+            table = steps.get(frontier)
+            if table is None:
+                table = steps[frontier] = {}
     return bool(frontier & idx.finals_mask)
 
 
 def _run_traced(a: HexAutomaton, plan: ScanPlan, word: tuple[str, ...]) -> tuple[bool, RunTrace]:
     """`run` symbol by symbol, recording the states after every read."""
     idx = a._indexed
-    value, border = idx.value, idx.border
     frontier = idx.start_mask
     steps: list[TraceStep] = []
     symbols = iter(word)
     for line, backward in zip(plan.reading, plan.backward):
         flag = "b" if backward else "f"
-        for cell, symbol in zip(line, symbols):
-            frontier = _union(value[symbol], frontier)
+        # the line's cells, then its `#`, which reads no cell
+        for cell, symbol in zip((*line, None), symbols):
+            frontier = _union(idx.value[symbol], frontier)
             steps.append(TraceStep(len(steps), symbol, cell, flag, idx.to_states(frontier)))
-        frontier = _union(border, frontier)
-        steps.append(TraceStep(len(steps), BORDER_SYMBOL, None, flag, idx.to_states(frontier)))
     accepted = bool(frontier & idx.finals_mask)
     return accepted, RunTrace(plan, tuple(steps), accepted)
 
@@ -300,8 +284,9 @@ def _run_traced(a: HexAutomaton, plan: ScanPlan, word: tuple[str, ...]) -> tuple
 def determinize(a: HexAutomaton) -> HexAutomaton:
     """Subset construction, applied inside each partition.
 
-    Forward subsets step to forward subsets on symbols and to backward
-    subsets on `#` (and vice versa), so rule typing survives.  Only nonempty
+    Every row of the rule table is stepped, `#` included.  A boustrophedon
+    subset changes partition on `#` only, so rule typing survives; the steps
+    split into value and border rules only in the output.  Only nonempty
     reachable subsets are kept; the result is deterministic and accepts the
     same pictures under every direction mode.  A subset is named by the
     positions of its members in the input's sorted state names, joined with
@@ -310,26 +295,18 @@ def determinize(a: HexAutomaton) -> HexAutomaton:
     require_valid(a)
     idx = a._indexed
     flips = a.kind == BOUSTROPHEDON
-    symbols = sorted(a.alphabet)
     is_forward = {idx.start_mask: True}  # every reachable subset, by partition
-    value_steps: list[tuple[int, str, int]] = []
-    border_steps: list[tuple[int, int]] = []
+    steps: list[tuple[int, str, int]] = []
     pending = [idx.start_mask]
     while pending:
         subset = pending.pop()
-        for sym in symbols:
-            nxt = _union(idx.value[sym], subset)
+        for sym, rows in idx.value.items():
+            nxt = _union(rows, subset)
             if nxt:
-                value_steps.append((subset, sym, nxt))
+                steps.append((subset, sym, nxt))
                 if nxt not in is_forward:
-                    is_forward[nxt] = is_forward[subset]
+                    is_forward[nxt] = is_forward[subset] != (flips and sym == BORDER_SYMBOL)
                     pending.append(nxt)
-        nxt = _union(idx.border, subset)
-        if nxt:
-            border_steps.append((subset, nxt))
-            if nxt not in is_forward:
-                is_forward[nxt] = not is_forward[subset] if flips else True
-                pending.append(nxt)
     names = {
         subset: "{" + "+".join(str(i) for i in range(subset.bit_length()) if subset >> i & 1) + "}"
         for subset in is_forward
@@ -339,8 +316,8 @@ def determinize(a: HexAutomaton) -> HexAutomaton:
         forward_states=frozenset(names[s] for s, fwd in is_forward.items() if fwd),
         backward_states=frozenset(names[s] for s, fwd in is_forward.items() if not fwd),
         alphabet=a.alphabet,
-        value_rules=frozenset((names[p], sym, names[q]) for p, sym, q in value_steps),
-        border_rules=frozenset((names[p], names[q]) for p, q in border_steps),
+        value_rules=frozenset((names[p], s, names[q]) for p, s, q in steps if s != BORDER_SYMBOL),
+        border_rules=frozenset((names[p], names[q]) for p, s, q in steps if s == BORDER_SYMBOL),
         start=names[idx.start_mask],
         finals=frozenset(names[s] for s in is_forward if s & idx.finals_mask),
     )

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .hexgrid import (
+    BORDER_SYMBOL,
     Cell,
     HexPicture,
     HexSize,
@@ -131,8 +132,10 @@ def _accepted_words(
 ) -> list[tuple[str, ...]]:
     """All words the automaton accepts at a size, each as its symbols in row-major order.
 
-    A forward pass collects the nonempty frontiers reachable at each position
-    of the run, stepping each (position, frontier) once per symbol.  A
+    Position k of the run's word reads row-major cell
+    `reader(range(n + 1))[k]`, or `#` where that is the cell count n.  A
+    forward pass collects the nonempty frontiers reachable at each position,
+    stepping each (position, frontier) on every symbol, or on `#`.  A
     backward pass then builds the words accepted from each of them out of
     those of the next position, as one list per remaining cell (a column)
     rather than one tuple per word: a frontier with a single live step
@@ -144,35 +147,25 @@ def _accepted_words(
     bounded by the stack.
     """
     idx = a._indexed
-    rows = [(sym, idx.value[sym]) for sym in symbols]
-    plan = scan_lines(size, d)
-    borders: list[bool] = []
-    for line in plan.reading:
-        borders.extend([False] * len(line))
-        borders.append(True)
-    # edges[i][frontier]: the (symbol, next frontier) steps out of position
-    # i, with symbol None on a border read
-    edges: list[dict[int, list[tuple[str | None, int]]]] = []
+    n = cell_count(size)
+    read = scan_lines(size, d).reader(range(n + 1))
+    on_cell = [(sym, idx.value[sym]) for sym in symbols]
+    on_border = [(BORDER_SYMBOL, idx.value[BORDER_SYMBOL])]
+    # edges[i][frontier]: the (symbol, next frontier) steps out of position i
+    edges: list[dict[int, list[tuple[str, int]]]] = []
     layer = {idx.start_mask}
-    for border in borders:
-        out: dict[int, list[tuple[str | None, int]]] = {}
+    for k in read:
+        choices = on_border if k == n else on_cell
+        out = {}
         for frontier in layer:
-            if border:
-                nxt = _union(idx.border, frontier)
-                out[frontier] = [(None, nxt)] if nxt else []
-            else:
-                steps = out[frontier] = []
-                for sym, succ in rows:
-                    nxt = _union(succ, frontier)
-                    if nxt:
-                        steps.append((sym, nxt))
+            out[frontier] = [(sym, nxt) for sym, succ in choices if (nxt := _union(succ, frontier))]
         edges.append(out)
         layer = {nxt for steps in out.values() for _, nxt in steps}
     # count[frontier] words are accepted from frontier on, and
     # columns[frontier][k] holds the k-th remaining cell's symbol of each
     count = {frontier: 1 for frontier in layer if frontier & idx.finals_mask}
     columns: dict[int, tuple[list[str], ...]] = dict.fromkeys(count, ())
-    for out, border in zip(reversed(edges), reversed(borders)):
+    for out, k in zip(reversed(edges), reversed(read)):
         before_count: dict[int, int] = {}
         before: dict[int, tuple[list[str], ...]] = {}
         for frontier, steps in out.items():
@@ -180,7 +173,8 @@ def _accepted_words(
             if len(steps) == 1:
                 sym, nxt = steps[0]
                 before_count[frontier] = count[nxt]
-                before[frontier] = columns[nxt] if border else ([sym] * count[nxt], *columns[nxt])
+                # a `#` read fills no cell, so it adds no column
+                before[frontier] = columns[nxt] if k == n else ([sym] * count[nxt], *columns[nxt])
             elif steps:
                 first: list[str] = []
                 for sym, nxt in steps:
@@ -191,10 +185,8 @@ def _accepted_words(
         count, columns = before_count, before
     if idx.start_mask not in columns:
         return []
-    # the k-th cell read is cell read[k] in row-major order
-    read = plan.reader(range(cell_count(size)))
-    row_major: list[list[str]] = [[]] * len(read)
-    for k, column in zip(read, columns[idx.start_mask]):
+    row_major: list[list[str]] = [[]] * n
+    for k, column in zip([k for k in read if k != n], columns[idx.start_mask]):
         row_major[k] = column
     return list(zip(*row_major))
 
@@ -267,15 +259,15 @@ class _Stepper:
     def __init__(self, a: HexAutomaton):
         self.idx = a._indexed
         self.identity = tuple(1 << p for p in range(len(self.idx.names)))
-        self._value: dict[tuple[int, str], int] = {}
-        self._border: dict[int, int] = {}
+        # symbol -> frontier -> next frontier, `#` included
+        self._value: dict[str, dict[int, int]] = {sym: {} for sym in self.idx.value}
         self._relation: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
 
     def value(self, frontier: int, symbol: str) -> int:
-        key = (frontier, symbol)
-        nxt = self._value.get(key)
+        memo = self._value[symbol]
+        nxt = memo.get(frontier)
         if nxt is None:
-            nxt = self._value[key] = _union(self.idx.value[symbol], frontier)
+            nxt = memo[frontier] = _union(self.idx.value[symbol], frontier)
         return nxt
 
     def relation(self, rel: tuple[int, tuple[int, ...]], symbol: str):
@@ -289,14 +281,11 @@ class _Stepper:
         return start, nxt
 
     def line_end(self, x) -> int:
-        """Frontier after the line's border read, resolving a relation first."""
+        """Frontier after the line's `#` read, resolving a relation first."""
         if not isinstance(x, int):
             start, rows = x
             x = _union(rows, start)
-        nxt = self._border.get(x)
-        if nxt is None:
-            nxt = self._border[x] = _union(self.idx.border, x)
-        return nxt
+        return self.value(x, BORDER_SYMBOL)
 
 
 class _PairSearch:

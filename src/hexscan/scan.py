@@ -49,10 +49,6 @@ class DirectionMode:
     def code(self) -> str:
         return f"{_KIND_PREFIX[self.kind]}:{self.element}"
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.element == "R0"
-
 
 def parse_direction(code: str) -> DirectionMode:
     head, sep, op = code.partition(":")
@@ -79,9 +75,11 @@ class ScanPlan:
     `lines` is the plan geometry: the canonical lines of the transformed size
     mapped through one affine map, and the same tuple in the plans of both
     scanner kinds for one size and element.  A run reads
-    line i as `reading[i]`: the line reversed when `backward[i]`, else as is.
-    `reader` and `line_ends` give the same reading as positions; both are
-    computed on first use, so building a plan does not pay for them.
+    line i as `reading[i]`: the line reversed when `backward[i]`, else as is,
+    and one border symbol `#` after it, so it reads the one word
+    `L1 # L2 # ... LK #`.  `reader` builds that word from a picture's
+    symbols; it is computed on first use, so building a plan does not pay
+    for it.
     """
 
     size: HexSize
@@ -102,31 +100,29 @@ class ScanPlan:
 
     @cached_property
     def reader(self) -> Callable[[Sequence], tuple]:
-        """Maps a picture's symbols in row-major order to its symbols in reading order.
+        """Maps a picture's symbols in row-major order, then `#`, to the word a run reads.
 
-        One `itemgetter` of every cell's row-major position, in reading order;
-        applied to `range(cell_count)` it gives that permutation itself.
+        One `itemgetter`: for each line in reading order, its cells'
+        row-major positions, then position `cell_count`, the `#`.  Applied
+        to `range(cell_count + 1)` it gives that sequence of positions itself.
         """
-        index = _indices(cell_count(self.size))
+        count = cell_count(self.size)
+        index = _indices(count)
         lcap = self.size.l - 1
         # row r's cells start at position first[r] and at column -min(r, l-1)
         first = itertools.accumulate(row_widths(self.size), initial=0)
         base = [start + min(r, lcap) for r, start in enumerate(first)]
-        at = [index[base[r] + q] for line in self.reading for r, q in line]
-        # itemgetter with a single index would return a bare symbol, and a
-        # one-cell picture is already in reading order
-        return itemgetter(*at) if len(at) > 1 else tuple
-
-    @cached_property
-    def line_ends(self) -> tuple[int, ...]:
-        """Where each line ends in the reading word: after it comes a border read."""
-        return tuple(itertools.accumulate(len(line) for line in self.lines))
+        at = []
+        for line in self.reading:
+            at.extend(index[base[r] + q] for r, q in line)
+            at.append(index[count])
+        return itemgetter(*at)
 
 
 @lru_cache(maxsize=64)
 def _indices(count: int) -> tuple[int, ...]:
-    """One shared tuple of positions per cell count, so plans share their ints."""
-    return tuple(range(count))
+    """Positions 0 .. count, one shared tuple per cell count, so plans share their ints."""
+    return tuple(range(count + 1))
 
 
 # Builds a Cell from an (r, q) pair without a Python-level __new__ call

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from hexscan import (
+    BORDER_SYMBOL,
     BOUSTROPHEDON,
     DirectionMode,
     HexSize,
@@ -79,6 +80,21 @@ def test_is_deterministic():
     ndb = automaton(BOUSTROPHEDON, ["f"], ["b", "c"], ["a"],
                     [("f", "a", "f")], [("f", "b"), ("f", "c")], "f", ["f"])
     assert not is_deterministic(ndb)
+    # against the rule-level definition, on machines of both kinds and their
+    # subset constructions
+    rng = random.Random(1414)
+    verdicts = {True: 0, False: 0}
+    for i in range(120):
+        alphabet = ("a", "b") if i % 3 else ("ab", "c", "d")
+        a = (random_ghbfa if i % 2 else random_ghrfa)(rng, 3, alphabet)
+        for m in (a, determinize(a)):
+            value_keys = [(p, sym) for p, sym, _ in m.value_rules]
+            border_keys = [p for p, _ in m.border_rules]
+            want = (len(set(value_keys)) == len(value_keys)
+                    and len(set(border_keys)) == len(border_keys))
+            assert is_deterministic(m) is want, serialize_automaton(m)
+            verdicts[want] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
 def test_run_m_all_and_m_none():
@@ -112,6 +128,23 @@ def test_run_requires_valid_automaton():
             run(broken, make_uniform(HexSize(1, 1, 1), "a"))
     with pytest.raises(InvalidAutomatonError):
         determinize(broken)
+    # the `#` row of the rule table holds border rules only, so a value rule
+    # on `#` is refused rather than stepped as a border rule
+    reads_border = automaton(BOUSTROPHEDON, ["f"], ["b"], ["a"],
+                             [("f", "a", "f"), ("f", "#", "f")], [("f", "b"), ("b", "f")],
+                             "f", ["f"])
+    good = m_all(alphabet=("a",))
+    mode = canonical_mode(BOUSTROPHEDON)
+    calls = (
+        lambda: run(reads_border, make_uniform(HexSize(1, 1, 1), "a")),
+        lambda: determinize(reads_border),
+        lambda: is_deterministic(reads_border),
+        lambda: bounded_equivalent(reads_border, mode, good, mode, ["a"], SizeBound.max_side(1)),
+        lambda: exact_equivalent_for_size(reads_border, mode, good, mode, HexSize(1, 1, 1)),
+    )
+    for call in calls:
+        with pytest.raises(InvalidAutomatonError):
+            call()
 
 
 def test_indexed_automaton_is_collected_with_its_last_reference():
@@ -203,7 +236,7 @@ def _reference_run(a, picture, mode):
     for i, line in enumerate(lines):
         for cell in line:
             frontier = _union(idx.value[picture.get(cell)], frontier)
-        frontier = _union(idx.border, frontier)
+        frontier = _union(idx.value[BORDER_SYMBOL], frontier)
         emptied |= not frontier and i < len(lines) - 1
     return bool(frontier & idx.finals_mask), emptied
 

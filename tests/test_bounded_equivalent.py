@@ -17,6 +17,7 @@ import pytest
 from hexscan import (
     ALL_MODES,
     OP_NAMES,
+    BORDER_SYMBOL,
     BOUSTROPHEDON,
     RETURNING,
     HexSize,
@@ -169,7 +170,7 @@ def _suffix_words(a, size, d, symbols):
         out = {}
         for frontier in layer:
             if border:
-                nxt = _union(idx.border, frontier)
+                nxt = _union(idx.value[BORDER_SYMBOL], frontier)
                 out[frontier] = [(None, nxt)] if nxt else []
             else:
                 out[frontier] = [(sym, nxt) for sym in symbols

@@ -143,3 +143,18 @@ def test_plan_reads_odd_boustrophedon_lines_backwards():
             backward = mode.kind == BOUSTROPHEDON and i % 2 == 1
             assert plan.backward[i] == backward
             assert plan.reading[i] == (line[::-1] if backward else line)
+
+
+@pytest.mark.parametrize("size", [HexSize(1, 1, 1), HexSize(2, 3, 2), HexSize(3, 2, 4)])
+def test_reader_gives_each_line_in_reading_order_then_the_border(size):
+    # a run reads one word, L1 # L2 # ... LK #; position n stands for `#`
+    n = cell_count(size)
+    position = {cell: i for i, cell in enumerate(cells(size))}
+    for mode in ALL_MODES:
+        plan = scan_lines(size, mode)
+        want = []
+        for line in plan.reading:
+            want += [position[cell] for cell in line] + [n]
+        word = plan.reader(range(n + 1))
+        assert type(word) is tuple and list(word) == want, (size, mode.code)
+        assert word.count(n) == plan.line_count, (size, mode.code)
