@@ -215,9 +215,7 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class RunTrace:
-    plan: ScanPlan
     steps: tuple[TraceStep, ...]
-    accepted: bool
 
 
 def run(
@@ -277,8 +275,7 @@ def _run_traced(a: HexAutomaton, plan: ScanPlan, word: tuple[str, ...]) -> tuple
         for cell, symbol in zip((*line, None), symbols):
             frontier = _union(idx.value[symbol], frontier)
             steps.append(TraceStep(len(steps), symbol, cell, flag, idx.to_states(frontier)))
-    accepted = bool(frontier & idx.finals_mask)
-    return accepted, RunTrace(plan, tuple(steps), accepted)
+    return bool(frontier & idx.finals_mask), RunTrace(tuple(steps))
 
 
 def determinize(a: HexAutomaton) -> HexAutomaton:

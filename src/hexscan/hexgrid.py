@@ -211,13 +211,8 @@ class BorderedPicture:
         return self.inner.get(Cell(cell.r - 1, cell.q))
 
     def rows(self) -> tuple[tuple[str, ...], ...]:
-        out = []
-        for r in range(self.size.row_count):
-            start = offset(self.size, r)
-            out.append(
-                tuple(self.get(Cell(r, q)) for q in range(start, start + row_width(self.size, r)))
-            )
-        return tuple(out)
+        edge = (BORDER_SYMBOL,) * self.size.m
+        return (edge, *((BORDER_SYMBOL, *row, BORDER_SYMBOL) for row in self.inner.rows), edge)
 
 
 def bordered(picture: HexPicture) -> BorderedPicture:

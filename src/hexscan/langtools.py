@@ -18,8 +18,9 @@ kind and alphabet.  There are two oracles:
     order, it advances the reachable pairs of frontier sets one cell at a
     time, deduplicating after every cell and memoizing each step.  Where
     one plan reads a line reversed (B:g against R:g, g against r0 after g),
-    one automaton carries the relation of the line's symbols read so far in
-    reverse, one bitmask per state, and applies it at the line's end.  On a
+    the automaton with fewer states carries the relation of the line's
+    symbols read so far in reverse, one bitmask per state, and its read of
+    the line's `#` applies the relation to its frontier.  On a
     mismatch the smallest counterexample is built greedily, cell by cell in
     row-major order, with at most cells * (|alphabet| - 1) further searches.
 
@@ -251,9 +252,11 @@ class _Stepper:
     """One automaton's memoized steps on frontiers and on line relations.
 
     A frontier is a bitmask of states.  A relation `(F, M)` stands for a line
-    this automaton reads in the opposite orientation to the pair search: `F`
-    is its frontier at the line's start and `M[p]` the states reachable from
-    `p` by reading the symbols seen so far in reverse.
+    this automaton (side 0 of a pair search) reads in the opposite
+    orientation to the search: `F` is its frontier at the line's start and
+    `M[p]` the states reachable from `p` by reading the symbols seen so far
+    in reverse.  Reading the line's `#` applies `M` to `F` and returns a
+    frontier again.
     """
 
     def __init__(self, a: HexAutomaton):
@@ -271,8 +274,10 @@ class _Stepper:
         return nxt
 
     def relation(self, rel: tuple[int, tuple[int, ...]], symbol: str):
-        """M'[p] = union of M[q] over q in delta(p, symbol)."""
+        """M'[p] = union of M[q] over q in delta(p, symbol); on `#`, the frontier after it."""
         start, rows = rel
+        if symbol == BORDER_SYMBOL:
+            return self.value(_union(rows, start), symbol)
         key = (rows, symbol)
         nxt = self._relation.get(key)
         if nxt is None:
@@ -280,62 +285,55 @@ class _Stepper:
             nxt = self._relation[key] = tuple(_union(rows, mask) for mask in succ)
         return start, nxt
 
-    def line_end(self, x) -> int:
-        """Frontier after the line's `#` read, resolving a relation first."""
-        if not isinstance(x, int):
-            start, rows = x
-            x = _union(rows, start)
-        return self.value(x, BORDER_SYMBOL)
-
 
 class _PairSearch:
     """Reachable frontier pairs of two automata at one size, cell by cell.
 
-    The plans must read the same lines in the same order.  Where one plan
-    reads a line reversed, the automaton with fewer states carries a
-    relation and the search reads the line as the other automaton does.
-    Pairs are deduplicated after every cell.
+    The plans must read the same lines in the same order.  Side 0 is the
+    automaton with fewer states (the first on a tie); where one plan reads
+    a line reversed, side 0 carries a relation and the search reads the
+    line as side 1 does.  Pairs are deduplicated after every cell.
     """
 
     def __init__(self, a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton,
                  d2: DirectionMode, size: HexSize, symbols: tuple[str, ...]):
-        self.sides = (_Stepper(a1), _Stepper(a2))
+        machines = (a1, a2)
+        plans = (scan_lines(size, d1).reading, scan_lines(size, d2).reading)
+        if len(a2.states) < len(a1.states):
+            machines, plans = machines[::-1], plans[::-1]
+        self.sides = tuple(map(_Stepper, machines))
         self.symbols = symbols
-        carrier = 0 if len(a1.states) <= len(a2.states) else 1
-        # (cells in reading order, index of the relation carrier or None)
+        # (cells in reading order, 0 where side 0 carries a relation, else None)
         self.lines = []
-        for pair in itertools.zip_longest(scan_lines(size, d1).reading,
-                                          scan_lines(size, d2).reading, fillvalue=()):
-            if pair[0] == pair[1]:
-                self.lines.append((pair[0], None))
-            elif pair[0] == pair[1][::-1]:
-                self.lines.append((pair[1 - carrier], carrier))
+        for own, other in itertools.zip_longest(*plans, fillvalue=()):
+            if own == other:
+                self.lines.append((own, None))
+            elif own == other[::-1]:
+                self.lines.append((other, 0))
             else:
                 raise ValueError("exact per-size comparison requires plans reading the same lines "
                                  f"in the same order; {d1.code} and {d2.code} differ at {size}")
 
     def mismatch(self, fixed: dict[Cell, str]) -> bool:
         """True iff exactly one automaton accepts some picture that agrees with `fixed`."""
-        s1, s2 = self.sides
-        pairs = {(s1.idx.start_mask, s2.idx.start_mask)}
+        s0, s1 = self.sides
+        step1 = s1.value
+        pairs = {(s0.idx.start_mask, s1.idx.start_mask)}
         for order, carrier in self.lines:
-            step1, step2 = s1.value, s2.value
-            if carrier == 0:
-                step1 = s1.relation
-                pairs = {((f1, s1.identity), f2) for f1, f2 in pairs}
-            elif carrier == 1:
-                step2 = s2.relation
-                pairs = {(f1, (f2, s2.identity)) for f1, f2 in pairs}
+            step0 = s0.value
+            if carrier is not None:
+                step0 = s0.relation
+                pairs = {((f0, s0.identity), f1) for f0, f1 in pairs}
             for cell in order:
                 at = fixed.get(cell)
                 symbols = self.symbols if at is None else (at,)
-                pairs = {(step1(x1, sym), step2(x2, sym)) for x1, x2 in pairs for sym in symbols}
-            pairs = {(s1.line_end(x1), s2.line_end(x2)) for x1, x2 in pairs}
+                pairs = {(step0(x0, sym), step1(x1, sym)) for x0, x1 in pairs for sym in symbols}
+            pairs = {(step0(x0, BORDER_SYMBOL), step1(x1, BORDER_SYMBOL)) for x0, x1 in pairs}
             pairs.discard((0, 0))
             if not pairs:
                 return False
-        fin1, fin2 = s1.idx.finals_mask, s2.idx.finals_mask
-        return any(bool(f1 & fin1) != bool(f2 & fin2) for f1, f2 in pairs)
+        fin0, fin1 = s0.idx.finals_mask, s1.idx.finals_mask
+        return any(bool(f0 & fin0) != bool(f1 & fin1) for f0, f1 in pairs)
 
 
 def exact_equivalent_for_size(
@@ -352,11 +350,11 @@ def exact_equivalent_for_size(
     a^w1 # a^w2 # ... # a^wK #.  The reachable frontier pairs are advanced
     one cell at a time, with memoized steps, and the two acceptance verdicts
     are compared on every pair reachable at the end.  A line the automata
-    read in opposite orientations is handled by a relation carried by one
-    of them: `M[p]`, the states reachable from `p` by reading the line's
-    symbols so far in reverse, is updated per symbol w as
-    M'[p] = union of M[q] over q in delta(p, w), and applied to that
-    automaton's frontier at the line's end.
+    read in opposite orientations is handled by a relation carried by the
+    automaton with fewer states (a1 on a tie): `M[p]`, the states reachable
+    from `p` by reading the line's symbols so far in reverse, is updated per
+    symbol w as M'[p] = union of M[q] over q in delta(p, w), and its read of
+    the line's `#` applies `M` to its frontier at the line's start.
 
     The alphabet defaults to the symbols both automata share and must be
     non-empty.  Each (automaton, mode) pair is checked as every oracle

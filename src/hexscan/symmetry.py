@@ -22,8 +22,6 @@ with the group's multiplication table entry at row g, column h.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .hexgrid import Cell, HexPicture, HexSize, cells, picture_from_cells
 
 OP_NAMES: tuple[str, ...] = (
@@ -153,7 +151,6 @@ def affine(op: str, size: HexSize) -> tuple[int, int, int, int, int, int]:
     return a, b, c, d, e, high[perm[1]] - e
 
 
-@lru_cache(maxsize=4096)
 def cell_map(op: str, size: HexSize) -> dict[Cell, Cell]:
     """Bijection from cells of `size` onto cells of `transform_size(op, size)`.
 

@@ -110,7 +110,7 @@ def test_equal_question_builds_no_picture(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle built or transformed a member picture")
 
-    for name in ("picture_from_cells", "apply_op", "accepted_set", "image_set"):
+    for name in ("_picture", "picture_from_cells", "apply_op", "accepted_set", "image_set"):
         monkeypatch.setattr(langtools, name, refuse)
     rng = random.Random(8009)
     for _ in range(5):

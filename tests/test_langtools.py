@@ -317,6 +317,60 @@ def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
     assert killed == len(pool)
 
 
+def _question(rng, alphabet=AB):
+    """Two random machines and modes whose plans read the same lines.
+
+    One of three shapes: B:g against R:g (odd lines reversed), g against r0
+    after g (every line reversed) and B:g against B:g.
+    """
+    from hexscan import DirectionMode
+
+    g = rng.choice(("R0", "r1", "R2", "r4"))
+    shape = rng.randrange(3)
+    if shape == 0:
+        return (random_ghbfa(rng, alphabet=alphabet), DirectionMode(BOUSTROPHEDON, g),
+                random_ghrfa(rng, alphabet=alphabet), DirectionMode(RETURNING, g))
+    if shape == 1:
+        return (random_ghrfa(rng, alphabet=alphabet), DirectionMode(RETURNING, g),
+                random_ghrfa(rng, alphabet=alphabet),
+                DirectionMode(RETURNING, compose("r0", g)))
+    d = DirectionMode(BOUSTROPHEDON, g)
+    return random_ghbfa(rng, alphabet=alphabet), d, random_ghbfa(rng, alphabet=alphabet), d
+
+
+def test_exact_oracle_answers_alike_in_either_argument_order():
+    # the machine with fewer states is the search's side 0 whichever
+    # argument it is, so its plan must move with it
+    rng = random.Random(1515)
+    sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(1, 3, 3))
+    asked = unequal = 0
+    for _ in range(300):
+        a1, d1, a2, d2 = _question(rng)
+        size = rng.choice(sizes)
+        if len(a1.states) == len(a2.states):
+            continue
+        w = exact_equivalent_for_size(a1, d1, a2, d2, size)
+        assert w == exact_equivalent_for_size(a2, d2, a1, d1, size), (d1.code, d2.code, size)
+        assert w == bounded_equivalent(a1, d1, a2, d2, AB, SizeBound(frozenset({size})))
+        asked += 1
+        unequal += w is not None
+    assert asked > 180 and unequal > 100
+
+
+def test_exact_oracle_agrees_with_enumeration_on_multi_character_symbols():
+    alphabet = ("ab", "c1", "xyz")
+    rng = random.Random(1516)
+    sizes = _sizes_up_to_cells(6)
+    unequal = 0
+    for _ in range(600):
+        a1, d1, a2, d2 = _question(rng, alphabet)
+        size = rng.choice(sizes)
+        w = exact_equivalent_for_size(a1, d1, a2, d2, size)
+        assert w == bounded_equivalent(a1, d1, a2, d2, alphabet, SizeBound(frozenset({size})))
+        unequal += w is not None
+    assert unequal > 300
+
+
 @pytest.mark.parametrize("side", [4, 8])
 def test_exact_oracle_witness_without_enumeration(side, monkeypatch):
     import time
