@@ -7,7 +7,10 @@ sets, an alphabet, value rules (state, symbol, state), border rules
 Boustrophedon machines alternate line orientation and are strictly typed:
 value rules stay inside one partition and border rules cross between the
 partitions.  Returning machines rescan every line in the same orientation;
-their backward set may be empty and their rules are untyped.
+their backward set may be empty and their rules are untyped.  Every
+`HexAutomaton` is well formed: building one runs `validate` and raises
+`InvalidAutomatonError` on any issue, so nothing that takes a machine checks
+it again.
 
 A run reads one word, each scan line followed by the border symbol:
 `L1 # L2 # ... LK #`.  A border rule is a rule on `#`, so the rule table has
@@ -58,16 +61,17 @@ class HexAutomaton:
     start: str
     finals: frozenset[str]
 
+    def __post_init__(self):
+        diagnostics = validate(self)
+        if diagnostics:
+            raise InvalidAutomatonError(diagnostics)
+
     @property
     def states(self) -> frozenset[str]:
         return self.forward_states | self.backward_states
 
-    # Derived once per automaton and kept in its instance dict, so they are
-    # freed with it; the fields are immutable, so neither can go stale.
-    @cached_property
-    def _diagnostics(self) -> tuple[str, ...]:
-        return tuple(validate(self))
-
+    # Derived once per automaton and kept in its instance dict, so it is
+    # freed with it; the fields are immutable, so it cannot go stale.
     @cached_property
     def _indexed(self) -> "IndexedAutomaton":
         names = tuple(sorted(self.states))
@@ -97,7 +101,7 @@ def automaton(
     start: str,
     finals,
 ) -> HexAutomaton:
-    """Convenience constructor accepting any iterables."""
+    """Convenience constructor accepting any iterables; raises like `HexAutomaton`."""
     return HexAutomaton(
         kind=kind,
         forward_states=frozenset(forward_states),
@@ -111,7 +115,7 @@ def automaton(
 
 
 def validate(a: HexAutomaton) -> list[str]:
-    """Empty list iff the automaton is well formed; else one line per issue."""
+    """One line per issue of the automaton; `HexAutomaton` builds only if there is none."""
     out: list[str] = []
     if a.kind not in (BOUSTROPHEDON, RETURNING):
         out.append(f"unknown kind {a.kind!r}")
@@ -149,15 +153,8 @@ def validate(a: HexAutomaton) -> list[str]:
     return out
 
 
-def require_valid(a: HexAutomaton) -> None:
-    """Raise on every call for an invalid automaton; `validate` runs once per automaton."""
-    if a._diagnostics:
-        raise InvalidAutomatonError(list(a._diagnostics))
-
-
 def _check_question(a: HexAutomaton, d: DirectionMode, symbols: Iterable[str]) -> None:
-    """Raise unless `a` is valid, `d` is of its kind and `symbols` are in its alphabet."""
-    require_valid(a)
+    """Raise unless `d` is of `a`'s kind and `symbols` are in its alphabet."""
     if d.kind != a.kind:
         raise ValueError(f"mode kind {d.kind} does not match automaton kind {a.kind}")
     missing = set(symbols) - a.alphabet
@@ -167,7 +164,6 @@ def _check_question(a: HexAutomaton, d: DirectionMode, symbols: Iterable[str]) -
 
 def is_deterministic(a: HexAutomaton) -> bool:
     """True iff no state has two rules on the same symbol, `#` included."""
-    require_valid(a)
     return all(mask & (mask - 1) == 0 for row in a._indexed.value.values() for mask in row)
 
 
@@ -289,7 +285,6 @@ def determinize(a: HexAutomaton) -> HexAutomaton:
     positions of its members in the input's sorted state names, joined with
     `+` in braces (`{0+2}`), so no two subsets share a name.
     """
-    require_valid(a)
     idx = a._indexed
     flips = a.kind == BOUSTROPHEDON
     is_forward = {idx.start_mask: True}  # every reachable subset, by partition
@@ -389,12 +384,13 @@ def parse_automaton(text: str) -> tuple[HexAutomaton, DirectionMode | None]:
         else:
             raise FormatError(f"unrecognized line: {line!r}")
 
-    a = automaton(
-        _KIND_NAMES[kind_name], forward, backward, alphabet,
-        value_rules, border_rules, start, finals,
-    )
-    if a._diagnostics:
-        raise FormatError("invalid automaton: " + "; ".join(a._diagnostics))
+    try:
+        a = automaton(
+            _KIND_NAMES[kind_name], forward, backward, alphabet,
+            value_rules, border_rules, start, finals,
+        )
+    except InvalidAutomatonError as exc:
+        raise FormatError(f"invalid automaton: {exc}") from None
     if direction is not None:
         try:
             _check_question(a, direction, ())

@@ -191,25 +191,6 @@ class BorderedPicture:
         s = self.inner.size
         return HexSize(s.l + 1, s.m + 1, s.n + 1)
 
-    def is_ring(self, cell: Cell) -> bool:
-        s = self.inner.size
-        r, q = cell
-        return (
-            r == 0
-            or r == s.l + s.n
-            or q == -s.l
-            or q == s.m
-            or q + r == 0
-            or q + r == s.m + s.n
-        )
-
-    def get(self, cell: Cell) -> str:
-        if not is_valid_cell(self.size, cell):
-            raise IndexError(f"cell {cell} outside bordered picture of size {self.size}")
-        if self.is_ring(cell):
-            return BORDER_SYMBOL
-        return self.inner.get(Cell(cell.r - 1, cell.q))
-
     def rows(self) -> tuple[tuple[str, ...], ...]:
         edge = (BORDER_SYMBOL,) * self.size.m
         return (edge, *((BORDER_SYMBOL, *row, BORDER_SYMBOL) for row in self.inner.rows), edge)

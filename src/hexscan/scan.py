@@ -87,17 +87,6 @@ class ScanPlan:
     backward: tuple[bool, ...]
     reading: tuple[tuple[Cell, ...], ...]
 
-    @property
-    def line_count(self) -> int:
-        return len(self.lines)
-
-    @property
-    def line_lengths(self) -> tuple[int, ...]:
-        return tuple(len(line) for line in self.lines)
-
-    def cells_in_order(self) -> tuple[Cell, ...]:
-        return tuple(c for line in self.lines for c in line)
-
     @cached_property
     def reader(self) -> Callable[[Sequence], tuple]:
         """Maps a picture's symbols in row-major order, then `#`, to the word a run reads.

@@ -37,7 +37,7 @@ never by pasting input names, so no two output states share a name.
 
 from __future__ import annotations
 
-from .automata import HexAutomaton, automaton, require_valid
+from .automata import HexAutomaton, automaton
 from .scan import BOUSTROPHEDON, RETURNING
 
 
@@ -103,7 +103,6 @@ def hbfa_to_hrfa(a: HexAutomaton) -> HexAutomaton:
     backwards.  Rules are typed, so no line changes partition.  States:
     1 + |F| + |B|^3.
     """
-    require_valid(a)
     if a.kind != BOUSTROPHEDON:
         raise ValueError("input must be a boustrophedon automaton")
     return _reverse_lines(a, a.forward_states, a.backward_states)
@@ -114,7 +113,6 @@ def mirror_within_lines(a: HexAutomaton) -> HexAutomaton:
 
     Every line is simulated backwards.  States: 1 + |Q|^3.
     """
-    require_valid(a)
     if a.kind != RETURNING:
         raise ValueError("input must be a returning automaton")
     return _reverse_lines(a, frozenset(), a.states)
@@ -131,7 +129,6 @@ def point_reflection(a: HexAutomaton) -> HexAutomaton:
     the renamed input start reaches the fresh final xF.  Lines are never
     empty, so the first cell read always comes from x0.  States: |Q| + 2.
     """
-    require_valid(a)
     if a.kind != RETURNING:
         raise ValueError("input must be a returning automaton")
     x = {q: f"x[{i}]" for i, q in enumerate(sorted(a.states))}
@@ -164,7 +161,6 @@ def family_normalizer(a: HexAutomaton, target: str) -> HexAutomaton:
     180-degree rotation).
     """
     if target == "R0":
-        require_valid(a)
         return a
     if target == "r0":
         return mirror_within_lines(a)

@@ -125,7 +125,11 @@ def m_parity(alphabet=("a",)):
 
 
 def m_invalid():
-    """Boustrophedon machine whose forward rule targets a backward state."""
+    """Boustrophedon machine whose forward rule targets a backward state.
+
+    Building it raises `InvalidAutomatonError`, so a test calls it where the
+    refusal is expected.
+    """
     return automaton(BOUSTROPHEDON, ["f"], ["b"], ("a", "b"),
                      [("f", "a", "b")], [("f", "b"), ("b", "f")], "f", ["f"])
 

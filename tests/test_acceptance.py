@@ -135,10 +135,11 @@ def test_criterion_04_scan_coverage():
         expect = set(cells(size))
         for mode in ALL_MODES:
             plan = scan_lines(size, mode)
-            visited = plan.cells_in_order()
+            visited = [c for line in plan.lines for c in line]
             assert len(visited) == len(expect)
             assert set(visited) == expect
-            assert plan.line_lengths == plan.line_lengths[::-1]
+            lengths = tuple(map(len, plan.lines))
+            assert lengths == lengths[::-1]
     _report(4, time.time() - start, 5, "27 sizes x 24 modes")
 
 
@@ -306,7 +307,7 @@ def _picture_of_linearization(plan, word):
             line = []
         else:
             line.append(sym)
-    assert not line and tuple(map(len, segments)) == plan.line_lengths
+    assert not line and tuple(map(len, segments)) == tuple(map(len, plan.lines))
     return picture_from_cells(plan.size, {
         cell: sym
         for line_cells, syms in zip(plan.lines, segments)
@@ -340,7 +341,7 @@ def test_criterion_12_conversion_lower_bound_certificate():
     n = len(witness.states)
     assert n == 18
     plan = scan_lines(HexSize(2, 2, 2), CR)
-    assert plan.line_lengths == (2, 3, 2)
+    assert tuple(map(len, plan.lines)) == (2, 3, 2)
     fwd = sorted(witness.forward_states)
     bwd = sorted(witness.backward_states)
     pairs = [
@@ -373,15 +374,15 @@ def test_conversion_of_criterion_12_witness_is_near_its_bound():
         assert exact_equivalent_for_size(witness, CB, conv, CR, size) is None, size
 
 
-def test_criterion_13_exact_gate_to_side_4():
+def test_criterion_13_exact_gate_to_side_6():
     """Criteria 6 and 7's constructions, confirmed by the exact oracle.
 
     The same seeded pools as criteria 6 and 7, at every size with max side
-    at most 4 (64 sizes, up to 37 cells), where enumeration cannot reach.
+    at most 6 (216 sizes, up to 91 cells), where enumeration cannot reach.
     """
     start = time.time()
-    sizes = _sizes_with_max_side(4)
-    assert len(sizes) == 64
+    sizes = _sizes_with_max_side(6)
+    assert len(sizes) == 216
     rng = random.Random(606)
     for i in range(50):
         a = random_ghbfa(rng, max_per_partition=4)
@@ -394,20 +395,20 @@ def test_criterion_13_exact_gate_to_side_4():
         conv = hbfa_to_hrfa(a)
         for size in sizes:
             assert exact_equivalent_for_size(a, CB, conv, CR, size) is None, (i, size)
-    _report(13, time.time() - start, 60, "50 determinizations + 30 conversions x 64 sizes")
+    _report(13, time.time() - start, 60, "50 determinizations + 30 conversions x 216 sizes")
 
 
 def test_criterion_13_pools_tell_mutants_apart():
-    """Kill rates of criterion 13's pools, by the exact oracle at max side 4.
+    """Kill rates of criterion 13's pools, by the exact oracle at max side 6.
 
-    A mutant is caught on a machine when some size of the 64 tells it from
+    A mutant is caught on a machine when some size of the 216 tells it from
     the machine.  The counts measured when this test was written are the
-    floors.  No machine catches every single finality flip of its
-    determinization, and side 4 tells the unreversed reading apart on no
-    more machines than side 2 does.
+    floors; max side 6 catches exactly what max side 4 does.  No machine
+    catches every single finality flip of its determinization, and side 6
+    tells the unreversed reading apart on no more machines than side 2 does.
     """
     start = time.time()
-    sizes = _sizes_with_max_side(4)
+    sizes = _sizes_with_max_side(6)
 
     def caught(a, da, mutant, dm):
         return any(exact_equivalent_for_size(a, da, mutant, dm, s) is not None for s in sizes)
@@ -436,16 +437,16 @@ def test_criterion_13_pools_tell_mutants_apart():
     _report(13, time.time() - start, 60, f"kill counts {conversion} {flips}")
 
 
-def test_criterion_14_within_line_mirror_exact_to_side_4():
-    """Criteria 8 and 9's r0 questions, by the exact oracle at max side 4.
+def test_criterion_14_within_line_mirror_exact_to_side_6():
+    """Criteria 8 and 9's r0 questions, by the exact oracle at max side 6.
 
-    The same seeded pools, at every size with max side at most 4: the r0
+    The same seeded pools, at every size with max side at most 6: the r0
     clause of criterion 8, and criterion 9's question for each rotation g,
     asked one size at a time.  Modes g and r0 after g read the same lines
     in opposite orientations, which the exact oracle answers directly.
     """
     start = time.time()
-    sizes = _sizes_with_max_side(4)
+    sizes = _sizes_with_max_side(6)
     r0 = DirectionMode(RETURNING, "r0")
     rng = random.Random(808)
     for i in range(30):
@@ -468,4 +469,4 @@ def test_criterion_14_within_line_mirror_exact_to_side_4():
             for size in sizes:
                 assert exact_equivalent_for_size(a, d1, built, d2, size) is None, (i, g, size)
     _report(14, time.time() - start, 60,
-            "30 r0 mirrors + 10 automata x 6 rotations, x 64 sizes")
+            "30 r0 mirrors + 10 automata x 6 rotations, x 216 sizes")

@@ -37,27 +37,50 @@ def test_validate_ok():
     assert validate(m_parity()) == []
 
 
+def refused(*fields):
+    """The diagnostics that building `automaton(*fields)` raises."""
+    with pytest.raises(InvalidAutomatonError) as info:
+        automaton(*fields)
+    assert str(info.value) == "; ".join(info.value.diagnostics)
+    return info.value.diagnostics
+
+
 def test_validate_forward_rule_typing():
-    a = automaton(BOUSTROPHEDON, ["f"], ["b"], ["a"],
-                  [("f", "a", "b")], [("f", "b"), ("b", "f")], "f", ["f"])
-    issues = validate(a)
+    issues = refused(BOUSTROPHEDON, ["f"], ["b"], ["a"],
+                     [("f", "a", "b")], [("f", "b"), ("b", "f")], "f", ["f"])
     assert any("forward rule" in d and "targets backward state" in d for d in issues)
+    issues = refused(BOUSTROPHEDON, ["f"], ["b"], ["a"],
+                     [("b", "a", "f")], [("f", "b"), ("b", "f")], "f", ["f"])
+    assert issues == ["backward rule b a -> f targets forward state"]
 
 
 def test_validate_border_rule_typing():
-    a = automaton(BOUSTROPHEDON, ["f", "g"], ["b"], ["a"],
-                  [("f", "a", "f")], [("f", "g")], "f", ["f"])
-    issues = validate(a)
+    issues = refused(BOUSTROPHEDON, ["f", "g"], ["b"], ["a"],
+                     [("f", "a", "f")], [("f", "g")], "f", ["f"])
     assert any("border rule" in d for d in issues)
+    issues = refused(BOUSTROPHEDON, ["f"], ["b", "c"], ["a"],
+                     [("f", "a", "f")], [("f", "b"), ("b", "c")], "f", ["f"])
+    assert issues == ["border rule b -> c from backward state must target forward state"]
 
 
 def test_validate_misc_issues():
-    a = automaton(BOUSTROPHEDON, ["f"], ["b"], ["a"],
-                  [("f", "z", "f")], [], "nope", ["ghost"])
-    issues = validate(a)
+    issues = refused(BOUSTROPHEDON, ["f"], ["b"], ["a"],
+                     [("f", "z", "f")], [], "nope", ["ghost"])
     assert any("start state" in d for d in issues)
     assert any("final state" in d for d in issues)
     assert any("outside alphabet" in d for d in issues)
+    cases = [
+        (("X", ["f"], [], ["a"], [], [], "f", []), "unknown kind 'X'"),
+        ((RETURNING, ["f"], ["f"], ["a"], [], [], "f", []), "states in both partitions: ['f']"),
+        ((RETURNING, ["f"], [], ["a", "#"], [], [], "f", []),
+         "alphabet contains reserved symbols ['#']"),
+        ((RETURNING, ["f"], [], ["a"], [("f", "a", "g")], [], "f", []),
+         "value rule f a -> g uses unknown state"),
+        ((RETURNING, ["f"], [], ["a"], [], [("g", "f")], "f", []),
+         "border rule g -> f uses unknown state"),
+    ]
+    for fields, issue in cases:
+        assert refused(*fields) == [issue]
 
 
 def test_returning_rules_untyped():
@@ -120,31 +143,19 @@ def test_run_rejects_foreign_symbols_and_kind_mismatch():
 
 
 def test_run_requires_valid_automaton():
-    broken = automaton(BOUSTROPHEDON, ["f"], ["b"], ["a"],
-                       [("f", "a", "b")], [], "f", ["f"])
-    # validation runs once per automaton, but every call still raises
-    for _ in range(3):
-        with pytest.raises(InvalidAutomatonError):
-            run(broken, make_uniform(HexSize(1, 1, 1), "a"))
-    with pytest.raises(InvalidAutomatonError):
-        determinize(broken)
+    # building is what refuses, so no run, construction or oracle is ever
+    # handed an invalid machine
+    assert refused(BOUSTROPHEDON, ["f"], ["b"], ["a"], [("f", "a", "b")], [], "f", ["f"]) == [
+        "forward rule f a -> b targets backward state"]
     # the `#` row of the rule table holds border rules only, so a value rule
     # on `#` is refused rather than stepped as a border rule
-    reads_border = automaton(BOUSTROPHEDON, ["f"], ["b"], ["a"],
-                             [("f", "a", "f"), ("f", "#", "f")], [("f", "b"), ("b", "f")],
-                             "f", ["f"])
-    good = m_all(alphabet=("a",))
-    mode = canonical_mode(BOUSTROPHEDON)
-    calls = (
-        lambda: run(reads_border, make_uniform(HexSize(1, 1, 1), "a")),
-        lambda: determinize(reads_border),
-        lambda: is_deterministic(reads_border),
-        lambda: bounded_equivalent(reads_border, mode, good, mode, ["a"], SizeBound.max_side(1)),
-        lambda: exact_equivalent_for_size(reads_border, mode, good, mode, HexSize(1, 1, 1)),
-    )
-    for call in calls:
-        with pytest.raises(InvalidAutomatonError):
-            call()
+    assert refused(BOUSTROPHEDON, ["f"], ["b"], ["a"],
+                   [("f", "a", "f"), ("f", "#", "f")], [("f", "b"), ("b", "f")],
+                   "f", ["f"]) == ["value rule f # -> f uses symbol outside alphabet"]
+    # a copy with changed fields is built, and so checked, too
+    with pytest.raises(InvalidAutomatonError) as info:
+        replace(m_all(), start="b")
+    assert info.value.diagnostics == ["start state 'b' not a forward state"]
 
 
 def test_indexed_automaton_is_collected_with_its_last_reference():
@@ -164,12 +175,12 @@ def test_trace_step_count_and_flags():
     accepted, trace = run(m_all(), p, trace=True)
     assert accepted
     plan = scan_lines(p.size, canonical_mode(BOUSTROPHEDON))
-    assert len(trace.steps) == cell_count(p.size) + plan.line_count
+    assert len(trace.steps) == cell_count(p.size) + len(plan.lines)
     flags = [s.mode_flag for s in trace.steps]
     # lines of length 2,3,2 plus one border read each: f f f | b b b b | f f f
     assert flags == ["f"] * 3 + ["b"] * 4 + ["f"] * 3
     borders = [s for s in trace.steps if s.cell is None]
-    assert len(borders) == plan.line_count
+    assert len(borders) == len(plan.lines)
     assert all(s.symbol == "#" for s in borders)
 
 
@@ -405,8 +416,25 @@ def test_parse_automaton_errors():
         "%HXA 1\nkind: GHBFA\nalphabet: a\nforward-states: f\n"
         "backward-states: b\nstart: f\nfinal: f\nrule: f a -> b\n"
     )
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as info:
         parse_automaton(bad)
+    assert str(info.value) == "invalid automaton: forward rule f a -> b targets backward state"
+    cases = [
+        (good.replace("start: f\n", ""), "expected 'start:' on line 6"),
+        (good.replace("start: f\n", "start: f b\n"), "start line must name exactly one state"),
+        (good + "border: f b\n", "bad border line: 'border: f b'"),
+        (good + "direction: X:R0\n", "bad direction code 'X:R0'"),
+        (good + "direction: B:R9\n", "unknown symmetry op 'R9'"),
+        (good + "direction: R:R0\n", "mode kind returning does not match automaton kind"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError) as info:
+            parse_automaton(text)
+        assert str(info.value).startswith(message), (message, str(info.value))
+    # blank lines inside and after the rule section are skipped
+    lines = good.splitlines()
+    spaced = "\n".join(lines[:8] + [""] + lines[8:] + ["", "", ""]) + "\n"
+    assert parse_automaton(spaced) == (m_all(), None)
 
 
 def test_run_consumption_length_property(rng):
@@ -419,4 +447,4 @@ def test_run_consumption_length_property(rng):
         for mode in (canonical_mode(BOUSTROPHEDON), DirectionMode(BOUSTROPHEDON, "r2")):
             _, trace = run(a, p, mode, trace=True)
             plan = scan_lines(p.size, mode)
-            assert len(trace.steps) == cell_count(p.size) + plan.line_count
+            assert len(trace.steps) == cell_count(p.size) + len(plan.lines)

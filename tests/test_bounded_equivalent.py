@@ -126,12 +126,13 @@ def test_inputs_checked_before_enumeration(case, monkeypatch):
         raise AssertionError("enumerated before checking the question")
 
     monkeypatch.setattr(langtools, "_accepted_words", refuse)
-    a1, d1, a2, d2, alphabet, op = m_all(), CB, m_all(), CB, AB, "R0"
+    # the machines' builders: an invalid machine is refused when it is built
+    a1, d1, a2, d2, alphabet, op = m_all, CB, m_all, CB, AB, "R0"
     error = ValueError
     if case == "invalid a1":
-        a1, error = m_invalid(), InvalidAutomatonError
+        a1, error = m_invalid, InvalidAutomatonError
     elif case == "invalid a2":
-        a2, error = m_invalid(), InvalidAutomatonError
+        a2, error = m_invalid, InvalidAutomatonError
     elif case == "kind d1":
         d1 = CR
     elif case == "kind d2":
@@ -140,8 +141,10 @@ def test_inputs_checked_before_enumeration(case, monkeypatch):
         alphabet = ("a", "b", "c")
     else:
         op = "R6"
-    with pytest.raises(error):
-        bounded_equivalent(a1, d1, a2, d2, alphabet, BOUND2, op)
+    with pytest.raises(error) as info:
+        bounded_equivalent(a1(), d1, a2(), d2, alphabet, BOUND2, op)
+    if error is InvalidAutomatonError:
+        assert str(info.value) == "forward rule f a -> b targets backward state"
 
 
 @pytest.mark.parametrize("args", [("--d1", "R:R0"), ("--d2", "R:r3"), ("--op", "R6")])

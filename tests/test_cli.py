@@ -98,10 +98,10 @@ def test_run_trace_line_count(capsys, all_aut, pic222):
     assert lines[-1] == "ACCEPT"
     size = HexSize(2, 2, 2)
     plan = scan_lines(size, canonical_mode(BOUSTROPHEDON))
-    assert len(lines) - 1 == cell_count(size) + plan.line_count
+    assert len(lines) - 1 == cell_count(size) + len(plan.lines)
     # border lines carry erased-cell snapshots
     border_lines = [ln for ln in lines[:-1] if " # -> " in ln]
-    assert len(border_lines) == plan.line_count
+    assert len(border_lines) == len(plan.lines)
     assert "_" in border_lines[0]
 
 
@@ -149,7 +149,7 @@ def test_run_trace_snapshots_erase_the_cells_consumed_so_far(capsys, tmp_path, k
             assert cell not in consumed and picture.get(cell) == symbol
             consumed.add(cell)
     assert len(consumed) == cell_count(size)
-    assert borders == scan_lines(size, parse_direction(direction)).line_count
+    assert borders == len(scan_lines(size, parse_direction(direction)).lines)
 
 
 def test_run_trace_final_snapshot_fully_erased(capsys, all_aut, pic222):
@@ -284,12 +284,25 @@ def test_enum_pictures(capsys):
     code, out, _ = run_cli(capsys, "enum", "--alphabet", "a", "--max-side", "1")
     assert code == 0
     assert out == "%HXP 1\nsize: 1 1 1\nrow: a\n"
+    # pictures are separated by one blank line
+    code, out, _ = run_cli(capsys, "enum", "--alphabet", "a,b", "--max-side", "1")
+    assert code == 0
+    assert out == "%HXP 1\nsize: 1 1 1\nrow: a\n\n%HXP 1\nsize: 1 1 1\nrow: b\n"
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(capsys, tmp_path, all_aut):
     assert main(["transform", "--op"]) == 2
     code, _, err = run_cli(capsys, "transform", "--op", "R7", "nowhere.hxp")
     assert code == 2
+    code, out, err = run_cli(capsys, "enum", "--alphabet", ",", "--max-side", "1")
+    assert (code, out, err) == (2, "", "error: alphabet must name at least one symbol\n")
+    # two machines that share no symbol ask no question
+    other = tmp_path / "other.hxa"
+    other.write_text(serialize_automaton(m_all(alphabet=("c",))))
+    code, out, err = run_cli(capsys, "equiv", "--a1", all_aut, "--d1", "B:R0",
+                             "--a2", str(other), "--d2", "B:R0")
+    assert (code, out) == (2, "")
+    assert err == "error: the automata share no alphabet symbols\n"
 
 
 def test_format_error_exit_3(capsys, tmp_path):
@@ -299,6 +312,13 @@ def test_format_error_exit_3(capsys, tmp_path):
     assert code == 3 and "error" in err
     code, _, _ = run_cli(capsys, "render", str(tmp_path / "missing.hxp"))
     assert code == 3
+    # an output path that cannot be written
+    good = tmp_path / "good.hxp"
+    good.write_text(serialize_picture(make_uniform(HexSize(1, 1, 1), "a")))
+    out_path = tmp_path / "no-such-dir" / "out.hxp"
+    code, out, err = run_cli(capsys, "transform", "--op", "R1", str(good), "-o", str(out_path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 _USAGE_ARGVS = [

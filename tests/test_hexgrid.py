@@ -24,7 +24,7 @@ from hexscan.hexgrid import (
     picture_from_cells,
 )
 
-from conftest import hexagon_cells_oracle
+from conftest import hexagon_cells_oracle, marker_picture
 
 sides = st.integers(min_value=1, max_value=5)
 sizes = st.builds(HexSize, sides, sides, sides)
@@ -76,6 +76,9 @@ def test_make_uniform_and_reserved_symbols():
     for reserved in ("#", "_"):
         with pytest.raises(ReservedSymbolError):
             make_uniform(HexSize(2, 2, 2), reserved)
+    for not_a_token in ("", "a b"):
+        with pytest.raises(ValueError, match="^cell symbol must be a non-empty token"):
+            make_uniform(HexSize(2, 2, 2), not_a_token)
 
 
 def test_get_set_roundtrip():
@@ -90,6 +93,8 @@ def test_get_set_roundtrip():
             assert q.get(c) == "a"
     with pytest.raises(IndexError):
         p.get(Cell(5, 5))
+    with pytest.raises(IndexError):
+        p.set(Cell(5, 5), "a")
     with pytest.raises(ReservedSymbolError):
         p.set(target, "#")
 
@@ -102,16 +107,33 @@ def test_validity_predicate_matches_enumeration():
             assert is_valid_cell(size, Cell(r, q)) == (Cell(r, q) in inside)
 
 
+def _bordered_symbol(p, cell):
+    """The bordered picture's symbol at `cell`, one cell at a time.
+
+    The ring is every cell on one of the six sides of the (l+1, m+1, n+1)
+    hexagon; any other cell (r, q) shows the inner picture's (r-1, q).
+    """
+    s = p.size
+    r, q = cell
+    on_ring = (r == 0 or r == s.l + s.n or q == -s.l or q == s.m
+               or q + r == 0 or q + r == s.m + s.n)
+    return "#" if on_ring else p.get(Cell(r - 1, q))
+
+
 def test_bordered_size_and_ring():
     p = make_uniform(HexSize(2, 2, 2), "a")
     b = bordered(p)
     assert b.size == HexSize(3, 3, 3)
-    ring = [c for c in cells(b.size) if b.is_ring(c)]
+    ring = [c for c in cells(b.size) if _bordered_symbol(p, c) == "#"]
     assert len(ring) == cell_count(HexSize(3, 3, 3)) - cell_count(HexSize(2, 2, 2)) == 12
-    assert all(b.get(c) == "#" for c in ring)
-    # interior cells carry the inner picture unchanged
-    for c in cells(p.size):
-        assert b.get(Cell(c.r + 1, c.q)) == p.get(c)
+    # rows() against the per-cell reference, with a distinct symbol in every
+    # inner cell so that any misplaced cell shows
+    for size in itertools.starmap(HexSize, itertools.product(range(1, 5), repeat=3)):
+        p = marker_picture(size)
+        b = bordered(p)
+        assert [len(row) for row in b.rows()] == row_widths(b.size), size
+        want = [_bordered_symbol(p, c) for c in cells(b.size)]
+        assert list(itertools.chain.from_iterable(b.rows())) == want, size
 
 
 @given(sizes)
@@ -154,6 +176,15 @@ def test_parse_errors():
         parse_picture(text)
     with pytest.raises(FormatError):
         parse_picture("%HXP 1\nsize: 1 1 1\nrow: #\n")
+    cases = [
+        ("%HXP 1\nrow: a\n", "expected 'size: L M N' on line 2"),
+        ("%HXP 1\nsize: 1 x 1\nrow: a\n", "bad size line: "),
+        ("%HXP 1\nsize: 1 1 1\ncol: a\n", "row line 0 must start with 'row:'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError) as info:
+            parse_picture(text)
+        assert str(info.value).startswith(message), (message, str(info.value))
 
 
 def test_parse_ignores_trailing_blank_lines():

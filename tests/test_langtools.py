@@ -44,6 +44,8 @@ def test_size_bound():
     assert bound.sorted_sizes()[0] == HexSize(1, 1, 1)
     with pytest.raises(ValueError):
         SizeBound(frozenset())
+    with pytest.raises(ValueError, match="^max side must be at least 1$"):
+        SizeBound.max_side(0)
     assert bound.image("R1").sizes == bound.sizes
 
 
@@ -417,17 +419,18 @@ def _ask(entry, a, d, symbol):
 
 @pytest.mark.parametrize("case", ["mode kind", "foreign symbol", "invalid machine"])
 def test_every_entry_point_checks_a_question_alike(case):
-    a, d, symbol, error = m_all(), CB, "a", ValueError
+    # the machine's builder: an invalid machine is refused when it is built
+    build, d, symbol, error = m_all, CB, "a", ValueError
     if case == "mode kind":
         d = CR
     elif case == "foreign symbol":
         symbol = "z"
     else:
-        a, error = m_invalid(), InvalidAutomatonError
+        build, error = m_invalid, InvalidAutomatonError
     messages = set()
     for entry in ("run", "accepted_set", "bounded_equivalent", "exact_equivalent_for_size"):
         with pytest.raises(ValueError) as info:
-            _ask(entry, a, d, symbol)
+            _ask(entry, build(), d, symbol)
         assert type(info.value) is error, entry
         messages.add(str(info.value))
     assert len(messages) == 1, messages

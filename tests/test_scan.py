@@ -32,11 +32,13 @@ def test_direction_codes_roundtrip():
     for bad in ("X:R0", "B-R0", "B:R9", "R0"):
         with pytest.raises(ValueError):
             parse_direction(bad)
+    with pytest.raises(ValueError, match="^unknown scanner kind 'x'$"):
+        DirectionMode("x", "R0")
 
 
 def test_canonical_plan_222():
     plan = scan_lines(HexSize(2, 2, 2), canonical_mode(RETURNING))
-    assert plan.line_lengths == (2, 3, 2)
+    assert tuple(map(len, plan.lines)) == (2, 3, 2)
     # left line first, each line top to bottom
     assert plan.lines[0] == (Cell(1, -1), Cell(2, -1))
     assert plan.lines[1] == (Cell(0, 0), Cell(1, 0), Cell(2, 0))
@@ -46,7 +48,7 @@ def test_canonical_plan_222():
 def test_single_cell_every_mode():
     for mode in ALL_MODES:
         plan = scan_lines(HexSize(1, 1, 1), mode)
-        assert plan.line_lengths == (1,)
+        assert tuple(map(len, plan.lines)) == (1,)
         assert plan.lines[0] == (Cell(0, 0),)
 
 
@@ -69,10 +71,10 @@ def test_every_mode_covers_every_cell_once(size):
     want = set(cells(size))
     for mode in ALL_MODES:
         plan = scan_lines(size, mode)
-        visited = plan.cells_in_order()
+        visited = [c for line in plan.lines for c in line]
         assert len(visited) == cell_count(size)
         assert set(visited) == want
-        lengths = plan.line_lengths
+        lengths = tuple(map(len, plan.lines))
         assert lengths == lengths[::-1], "line lengths form a palindrome"
 
 
@@ -138,7 +140,7 @@ def test_plans_match_reference_pullback():
 def test_plan_reads_odd_boustrophedon_lines_backwards():
     for mode in ALL_MODES:
         plan = scan_lines(HexSize(2, 3, 2), mode)
-        assert len(plan.backward) == len(plan.reading) == plan.line_count
+        assert len(plan.backward) == len(plan.reading) == len(plan.lines)
         for i, line in enumerate(plan.lines):
             backward = mode.kind == BOUSTROPHEDON and i % 2 == 1
             assert plan.backward[i] == backward
@@ -157,4 +159,4 @@ def test_reader_gives_each_line_in_reading_order_then_the_border(size):
             want += [position[cell] for cell in line] + [n]
         word = plan.reader(range(n + 1))
         assert type(word) is tuple and list(word) == want, (size, mode.code)
-        assert word.count(n) == plan.line_count, (size, mode.code)
+        assert word.count(n) == len(plan.lines), (size, mode.code)

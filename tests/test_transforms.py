@@ -60,11 +60,17 @@ def test_hbfa_to_hrfa_validates_and_counts():
     assert validate(out) == []
     count = 1 + len(a.forward_states) + len(a.backward_states) ** 3
     assert len(out.states) == expected_output_states("hbfa-to-hrfa", a) == count
+    with pytest.raises(ValueError, match="^unknown construction 'bogus'$"):
+        expected_output_states("bogus", a)
 
 
 def test_hbfa_to_hrfa_requires_boustrophedon():
     with pytest.raises(ValueError):
         hbfa_to_hrfa(returning_all())
+    # and the mirrors a returning machine
+    for build in (mirror_within_lines, point_reflection):
+        with pytest.raises(ValueError, match="^input must be a returning automaton$"):
+            build(m_all())
 
 
 def test_hbfa_to_hrfa_m_all_and_m_parity():
