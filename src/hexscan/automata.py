@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .hexgrid import BORDER_SYMBOL, Cell, FormatError, HexPicture, RESERVED_SYMBOLS
@@ -130,26 +131,36 @@ def validate(a: HexAutomaton) -> list[str]:
     bad_sym = sorted(a.alphabet & RESERVED_SYMBOLS)
     if bad_sym:
         out.append(f"alphabet contains reserved symbols {bad_sym}")
-    for p, sym, q in sorted(a.value_rules):
+    # the rules are checked unsorted; only those with an issue are sorted,
+    # stably, so each rule's messages keep the order they are checked in
+    value_issues: list[tuple[ValueRule, str]] = []
+    for rule in a.value_rules:
+        p, sym, q = rule
         if p not in states or q not in states:
-            out.append(f"value rule {p} {sym} -> {q} uses unknown state")
+            value_issues.append((rule, f"value rule {p} {sym} -> {q} uses unknown state"))
             continue
         if sym not in a.alphabet:
-            out.append(f"value rule {p} {sym} -> {q} uses symbol outside alphabet")
+            value_issues.append((rule, f"value rule {p} {sym} -> {q} uses symbol outside alphabet"))
         if a.kind == BOUSTROPHEDON:
             if p in a.forward_states and q not in a.forward_states:
-                out.append(f"forward rule {p} {sym} -> {q} targets backward state")
+                value_issues.append((rule, f"forward rule {p} {sym} -> {q} targets backward state"))
             if p in a.backward_states and q not in a.backward_states:
-                out.append(f"backward rule {p} {sym} -> {q} targets forward state")
-    for p, q in sorted(a.border_rules):
+                value_issues.append((rule, f"backward rule {p} {sym} -> {q} targets forward state"))
+    border_issues: list[tuple[BorderRule, str]] = []
+    for rule in a.border_rules:
+        p, q = rule
         if p not in states or q not in states:
-            out.append(f"border rule {p} -> {q} uses unknown state")
+            border_issues.append((rule, f"border rule {p} -> {q} uses unknown state"))
             continue
         if a.kind == BOUSTROPHEDON:
             if p in a.forward_states and q not in a.backward_states:
-                out.append(f"border rule {p} -> {q} from forward state must target backward state")
+                border_issues.append(
+                    (rule, f"border rule {p} -> {q} from forward state must target backward state"))
             if p in a.backward_states and q not in a.forward_states:
-                out.append(f"border rule {p} -> {q} from backward state must target forward state")
+                border_issues.append(
+                    (rule, f"border rule {p} -> {q} from backward state must target forward state"))
+    for issues in (value_issues, border_issues):
+        out += [message for _, message in sorted(issues, key=itemgetter(0))]
     return out
 
 

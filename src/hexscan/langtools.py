@@ -15,14 +15,17 @@ kind and alphabet.  There are two oracles:
     for callers that want pictures);
   * the exact per-size oracle (`exact_equivalent_for_size`) enumerates no
     pictures.  For two modes whose plans read the same lines in the same
-    order, it advances the reachable pairs of frontier sets one cell at a
-    time, deduplicating after every cell and memoizing each step.  Where
+    order, it advances the set of reachable pairs of frontier sets one read
+    at a time.  Each pair gets a bit index when the search first meets it,
+    so a set of pairs is one int bitmask; a pair's successors on a read and
+    a set's step on a read are each computed once per question.  Where
     one plan reads a line reversed (B:g against R:g, g against r0 after g),
     the automaton with fewer states carries the relation of the line's
     symbols read so far in reverse, one bitmask per state, and its read of
     the line's `#` applies the relation to its frontier.  On a
     mismatch the smallest counterexample is built greedily, cell by cell in
-    row-major order, with at most cells * (|alphabet| - 1) further searches.
+    row-major order, with at most cells * (|alphabet| - 1) further searches
+    that reuse every step the searches before them computed.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
@@ -249,50 +252,51 @@ def bounded_equivalent(
 
 
 class _Stepper:
-    """One automaton's memoized steps on frontiers and on line relations.
+    """One automaton's steps on frontiers and on line relations.
 
     A frontier is a bitmask of states.  A relation `(F, M)` stands for a line
     this automaton (side 0 of a pair search) reads in the opposite
     orientation to the search: `F` is its frontier at the line's start and
     `M[p]` the states reachable from `p` by reading the symbols seen so far
     in reverse.  Reading the line's `#` applies `M` to `F` and returns a
-    frontier again.
+    frontier again.  Nothing is memoized here: a pair search steps each
+    pair once per read and keeps the result.
     """
 
     def __init__(self, a: HexAutomaton):
         self.idx = a._indexed
         self.identity = tuple(1 << p for p in range(len(self.idx.names)))
-        # symbol -> frontier -> next frontier, `#` included
-        self._value: dict[str, dict[int, int]] = {sym: {} for sym in self.idx.value}
-        self._relation: dict[tuple[tuple[int, ...], str], tuple[int, ...]] = {}
 
     def value(self, frontier: int, symbol: str) -> int:
-        memo = self._value[symbol]
-        nxt = memo.get(frontier)
-        if nxt is None:
-            nxt = memo[frontier] = _union(self.idx.value[symbol], frontier)
-        return nxt
+        return _union(self.idx.value[symbol], frontier)
 
     def relation(self, rel: tuple[int, tuple[int, ...]], symbol: str):
         """M'[p] = union of M[q] over q in delta(p, symbol); on `#`, the frontier after it."""
         start, rows = rel
         if symbol == BORDER_SYMBOL:
             return self.value(_union(rows, start), symbol)
-        key = (rows, symbol)
-        nxt = self._relation.get(key)
-        if nxt is None:
-            succ = self.idx.value[symbol]
-            nxt = self._relation[key] = tuple(_union(rows, mask) for mask in succ)
-        return start, nxt
+        return start, tuple(_union(rows, mask) for mask in self.idx.value[symbol])
+
+
+# The two reads of a pair search that are not a symbol: a cell left free
+# (any symbol of the alphabet), and entering a line side 0 carries.
+_ANY = None
+_ENTER = ()
 
 
 class _PairSearch:
-    """Reachable frontier pairs of two automata at one size, cell by cell.
+    """Reachable frontier pairs of two automata at one size, as bitmasks.
 
     The plans must read the same lines in the same order.  Side 0 is the
     automaton with fewer states (the first on a tie); where one plan reads
     a line reversed, side 0 carries a relation and the search reads the
-    line as side 1 does.  Pairs are deduplicated after every cell.
+    line as side 1 does.  Each pair `(x0, x1)` the search meets gets the
+    next bit index, so a set of pairs is one int.  A read is a symbol, `#`,
+    `_ANY` (a free cell) or `_ENTER` (a carried line begins, `x0` becoming
+    the relation `(x0, identity)`).  A step of a set on a read is the union
+    of its pairs' successors; both are computed when first needed and kept
+    on the search, so every `mismatch` call of one question, the greedy
+    witness's included, reuses the steps the calls before it made.
     """
 
     def __init__(self, a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton,
@@ -313,27 +317,74 @@ class _PairSearch:
             else:
                 raise ValueError("exact per-size comparison requires plans reading the same lines "
                                  f"in the same order; {d1.code} and {d2.code} differ at {size}")
+        self.pairs: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+        # the pairs after which exactly one side accepts, and the pair (0, 0)
+        self.refuting = self.dead = 0
+        # read -> set of pairs -> its successor set; a one-pair set's entry is that pair's row
+        self.steps: dict = {read: {} for read in (*symbols, BORDER_SYMBOL, _ANY, _ENTER)}
+        s0, s1 = self.sides
+        self.start = self._bit((s0.idx.start_mask, s1.idx.start_mask))
+
+    def _bit(self, pair: tuple) -> int:
+        """The one-pair set of `pair`, indexing the pair on first sight."""
+        i = self.index.get(pair)
+        if i is None:
+            i = self.index[pair] = len(self.pairs)
+            self.pairs.append(pair)
+            x0, x1 = pair
+            if type(x0) is int:  # a frontier pair, not a carried relation
+                s0, s1 = self.sides
+                if bool(x0 & s0.idx.finals_mask) != bool(x1 & s1.idx.finals_mask):
+                    self.refuting |= 1 << i
+                if not x0 | x1:
+                    self.dead |= 1 << i
+        return 1 << i
+
+    def _row(self, i: int, read) -> int:
+        """The set of successors of pair i on `read`."""
+        x0, x1 = self.pairs[i]
+        if read is _ANY:
+            out = 0
+            for sym in self.symbols:
+                out |= self._step(1 << i, sym)
+            return out
+        s0, s1 = self.sides
+        if read is _ENTER:
+            return self._bit(((x0, s0.identity), x1))
+        step0 = s0.value if type(x0) is int else s0.relation
+        return self._bit((step0(x0, read), s1.value(x1, read)))
+
+    def _step(self, pairs: int, read) -> int:
+        """The set of successors of the set `pairs` on `read`."""
+        memo = self.steps[read]
+        nxt = memo.get(pairs)
+        if nxt is None:
+            nxt = 0
+            rest = pairs
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = memo.get(low)
+                if row is None:
+                    row = memo[low] = self._row(low.bit_length() - 1, read)
+                nxt |= row
+            memo[pairs] = nxt
+        return nxt
 
     def mismatch(self, fixed: dict[Cell, str]) -> bool:
         """True iff exactly one automaton accepts some picture that agrees with `fixed`."""
-        s0, s1 = self.sides
-        step1 = s1.value
-        pairs = {(s0.idx.start_mask, s1.idx.start_mask)}
+        step = self._step
+        pairs = self.start
         for order, carrier in self.lines:
-            step0 = s0.value
             if carrier is not None:
-                step0 = s0.relation
-                pairs = {((f0, s0.identity), f1) for f0, f1 in pairs}
+                pairs = step(pairs, _ENTER)
             for cell in order:
-                at = fixed.get(cell)
-                symbols = self.symbols if at is None else (at,)
-                pairs = {(step0(x0, sym), step1(x1, sym)) for x0, x1 in pairs for sym in symbols}
-            pairs = {(step0(x0, BORDER_SYMBOL), step1(x1, BORDER_SYMBOL)) for x0, x1 in pairs}
-            pairs.discard((0, 0))
+                pairs = step(pairs, fixed.get(cell, _ANY))
+            pairs = step(pairs, BORDER_SYMBOL) & ~self.dead
             if not pairs:
                 return False
-        fin0, fin1 = s0.idx.finals_mask, s1.idx.finals_mask
-        return any(bool(f0 & fin0) != bool(f1 & fin1) for f0, f1 in pairs)
+        return bool(pairs & self.refuting)
 
 
 def exact_equivalent_for_size(
@@ -347,9 +398,11 @@ def exact_equivalent_for_size(
     """Decide per-size language equality without enumerating all pictures.
 
     Each run is a string acceptor over the fixed linearization shape
-    a^w1 # a^w2 # ... # a^wK #.  The reachable frontier pairs are advanced
-    one cell at a time, with memoized steps, and the two acceptance verdicts
-    are compared on every pair reachable at the end.  A line the automata
+    a^w1 # a^w2 # ... # a^wK #.  The set of reachable frontier pairs, one
+    int bitmask over the pairs indexed as the search meets them, is advanced
+    one read at a time.  Each pair's successors on a read, and each set's
+    step on a read, are computed once per question, and the two acceptance
+    verdicts are compared on the final set by one mask.  A line the automata
     read in opposite orientations is handled by a relation carried by the
     automaton with fewer states (a1 on a tie): `M[p]`, the states reachable
     from `p` by reading the line's symbols so far in reverse, is updated per
@@ -365,8 +418,9 @@ def exact_equivalent_for_size(
     row-major order, each to the first symbol in sorted order for which a
     pair search restricted to the cells fixed so far still reaches a
     mismatch (the last symbol needs no search).  That costs at most
-    cells * (|alphabet| - 1) pair searches, and gives the first mismatch of
-    `enumerate_pictures`.
+    cells * (|alphabet| - 1) pair searches, each on the same search object,
+    so each reuses every step the searches before it computed, and gives the
+    first mismatch of `enumerate_pictures`.
     """
     symbols = _symbols(a1.alphabet & a2.alphabet if alphabet is None else alphabet)
     _check_question(a1, d1, symbols)

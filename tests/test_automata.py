@@ -81,6 +81,24 @@ def test_validate_misc_issues():
     ]
     for fields, issue in cases:
         assert refused(*fields) == [issue]
+    # many bad rules among good ones: messages come in sorted rule order,
+    # value rules first, and a rule's own messages in the order they are checked
+    issues = refused(BOUSTROPHEDON, ["f", "g"], ["b", "c"], ["a"],
+                     [("x", "a", "f"), ("g", "z", "c"), ("f", "a", "f"), ("f", "a", "x"),
+                      ("f", "a", "b"), ("c", "a", "g"), ("b", "a", "b"), ("b", "a", "f")],
+                     [("y", "f"), ("f", "g"), ("b", "f"), ("b", "c")], "f", ["f"])
+    assert issues == [
+        "backward rule b a -> f targets forward state",
+        "backward rule c a -> g targets forward state",
+        "forward rule f a -> b targets backward state",
+        "value rule f a -> x uses unknown state",
+        "value rule g z -> c uses symbol outside alphabet",
+        "forward rule g z -> c targets backward state",
+        "value rule x a -> f uses unknown state",
+        "border rule b -> c from backward state must target forward state",
+        "border rule f -> g from forward state must target backward state",
+        "border rule y -> f uses unknown state",
+    ]
 
 
 def test_returning_rules_untyped():

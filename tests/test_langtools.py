@@ -359,6 +359,81 @@ def test_exact_oracle_answers_alike_in_either_argument_order():
     assert asked > 180 and unequal > 100
 
 
+def _set_walk(search, fixed):
+    """`search.mismatch(fixed)` as a walk over a Python set of frontier pairs.
+
+    The pair search's earlier form, kept as its reference: every pair is
+    stepped on every symbol a cell allows, the set is rebuilt after every
+    read, and the pair (0, 0) is dropped after every `#`.
+    """
+    from hexscan.automata import _union
+
+    idx0, idx1 = (side.idx for side in search.sides)
+    identity = tuple(1 << p for p in range(len(idx0.names)))
+
+    def step0(x0, sym):
+        if isinstance(x0, int):
+            return _union(idx0.value[sym], x0)
+        start, rows = x0  # a relation, on a line side 0 carries
+        if sym == "#":
+            return _union(idx0.value[sym], _union(rows, start))
+        return start, tuple(_union(rows, mask) for mask in idx0.value[sym])
+
+    pairs = {(idx0.start_mask, idx1.start_mask)}
+    for order, carrier in search.lines:
+        if carrier is not None:
+            pairs = {((x0, identity), x1) for x0, x1 in pairs}
+        for cell in order:
+            at = fixed.get(cell)
+            symbols = search.symbols if at is None else (at,)
+            pairs = {(step0(x0, sym), _union(idx1.value[sym], x1))
+                     for x0, x1 in pairs for sym in symbols}
+        pairs = {(step0(x0, "#"), _union(idx1.value["#"], x1)) for x0, x1 in pairs}
+        pairs.discard((0, 0))
+        if not pairs:
+            return False
+    return any(bool(x0 & idx0.finals_mask) != bool(x1 & idx1.finals_mask) for x0, x1 in pairs)
+
+
+def test_a_reused_pair_search_answers_as_a_fresh_one_and_the_set_walk():
+    # One search answers many restrictions in shuffled order, as the greedy
+    # witness asks them, from steps that earlier answers memoized; each
+    # answer must equal a fresh search's and the set walk's.
+    from hexscan import DirectionMode
+    from hexscan.langtools import _PairSearch
+
+    rng = random.Random(1717)
+    sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(1, 3, 3))
+    smaller_first = set()
+    answers = {True: 0, False: 0}
+    for draw in range(24):
+        g = rng.choice(("R0", "r1", "R2", "r4"))
+        if draw % 2 == 0:  # B:g against R:g: odd lines reversed
+            a1, d1 = random_ghbfa(rng), DirectionMode(BOUSTROPHEDON, g)
+            d2 = DirectionMode(RETURNING, g)
+        else:  # g against r0 after g: every line reversed
+            a1, d1 = random_ghrfa(rng), DirectionMode(RETURNING, g)
+            d2 = DirectionMode(RETURNING, compose("r0", g))
+        a2, size = random_ghrfa(rng), rng.choice(sizes)
+        grid = list(cells(size))
+        restrictions = [{}]
+        for _ in range(30):
+            pinned = rng.sample(grid, rng.randint(1, len(grid)))
+            restrictions.append({c: rng.choice(AB) for c in pinned})
+        for question in ((a1, d1, a2, d2, size, AB), (a2, d2, a1, d1, size, AB)):
+            smaller_first.add(len(question[0].states) <= len(question[2].states))
+            reused = _PairSearch(*question)
+            rng.shuffle(restrictions)
+            for fixed in restrictions:
+                want = _set_walk(reused, fixed)
+                assert reused.mismatch(fixed) == want, (question[1].code, question[3].code, size)
+                assert _PairSearch(*question).mismatch(fixed) == want
+                answers[want] += 1
+    # each argument carries the relation somewhere, and both answers are common
+    assert smaller_first == {True, False}
+    assert min(answers.values()) > 200, answers
+
+
 def test_exact_oracle_agrees_with_enumeration_on_multi_character_symbols():
     alphabet = ("ab", "c1", "xyz")
     rng = random.Random(1516)
