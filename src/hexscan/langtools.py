@@ -18,14 +18,18 @@ kind and alphabet.  There are two oracles:
     order, it advances the set of reachable pairs of frontier sets one read
     at a time.  Each pair gets a bit index when the search first meets it,
     so a set of pairs is one int bitmask; a pair's successors on a read and
-    a set's step on a read are each computed once per question.  Where
-    one plan reads a line reversed (B:g against R:g, g against r0 after g),
-    the automaton with fewer states carries the relation of the line's
-    symbols read so far in reverse, one bitmask per state, and its read of
-    the line's `#` applies the relation to its frontier.  On a
-    mismatch the smallest counterexample is built greedily, cell by cell in
-    row-major order, with at most cells * (|alphabet| - 1) further searches
-    that reuse every step the searches before them computed.
+    a set's step on a read are each computed once per question.  The search
+    is per question (the two machines and the alphabet), not per size: the
+    last question's search is kept, one per thread, so consecutive calls on
+    the same pair at other sizes or in other modes reuse its pairs and
+    steps, and a different question replaces it.  Where one plan reads a
+    line reversed (B:g against R:g, g against r0 after g), the automaton
+    with fewer states carries the relation of the line's symbols read so
+    far in reverse, one bitmask per state, and its read of the line's `#`
+    applies the relation to its frontier.  On a mismatch the smallest
+    counterexample is built greedily, cell by cell in row-major order, with
+    at most cells * (|alphabet| - 1) further searches that reuse every step
+    the searches before them computed.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
@@ -35,6 +39,7 @@ it.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -285,38 +290,25 @@ _ENTER = ()
 
 
 class _PairSearch:
-    """Reachable frontier pairs of two automata at one size, as bitmasks.
+    """Reachable frontier pairs of two automata over one alphabet, as bitmasks.
 
-    The plans must read the same lines in the same order.  Side 0 is the
-    automaton with fewer states (the first on a tie); where one plan reads
-    a line reversed, side 0 carries a relation and the search reads the
-    line as side 1 does.  Each pair `(x0, x1)` the search meets gets the
-    next bit index, so a set of pairs is one int.  A read is a symbol, `#`,
-    `_ANY` (a free cell) or `_ENTER` (a carried line begins, `x0` becoming
-    the relation `(x0, identity)`).  A step of a set on a read is the union
-    of its pairs' successors; both are computed when first needed and kept
-    on the search, so every `mismatch` call of one question, the greedy
-    witness's included, reuses the steps the calls before it made.
+    One search serves one question, the two machines and the symbols, at
+    every size and in every pair of modes: a pair's successors on a read
+    depend on neither.  Side 0 is the automaton with fewer states (the
+    first on a tie), and it carries the relation on a line the two plans
+    read in opposite orientations.  Each pair `(x0, x1)` the search meets
+    gets the next bit index, so a set of pairs is one int.  A read is a
+    symbol, `#`, `_ANY` (a free cell) or `_ENTER` (a carried line begins,
+    `x0` becoming the relation `(x0, identity)`).  A step of a set on a
+    read is the union of its pairs' successors; both are computed when
+    first needed and kept on the search, so every `mismatch` call of one
+    question, at any size and the greedy witness's included, reuses the
+    steps the calls before it made.
     """
 
-    def __init__(self, a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton,
-                 d2: DirectionMode, size: HexSize, symbols: tuple[str, ...]):
-        machines = (a1, a2)
-        plans = (scan_lines(size, d1).reading, scan_lines(size, d2).reading)
-        if len(a2.states) < len(a1.states):
-            machines, plans = machines[::-1], plans[::-1]
-        self.sides = tuple(map(_Stepper, machines))
+    def __init__(self, a0: HexAutomaton, a1: HexAutomaton, symbols: tuple[str, ...]):
+        self.sides = (_Stepper(a0), _Stepper(a1))
         self.symbols = symbols
-        # (cells in reading order, 0 where side 0 carries a relation, else None)
-        self.lines = []
-        for own, other in itertools.zip_longest(*plans, fillvalue=()):
-            if own == other:
-                self.lines.append((own, None))
-            elif own == other[::-1]:
-                self.lines.append((other, 0))
-            else:
-                raise ValueError("exact per-size comparison requires plans reading the same lines "
-                                 f"in the same order; {d1.code} and {d2.code} differ at {size}")
         self.pairs: list[tuple] = []
         self.index: dict[tuple, int] = {}
         # the pairs after which exactly one side accepts, and the pair (0, 0)
@@ -372,11 +364,11 @@ class _PairSearch:
             memo[pairs] = nxt
         return nxt
 
-    def mismatch(self, fixed: dict[Cell, str]) -> bool:
-        """True iff exactly one automaton accepts some picture that agrees with `fixed`."""
+    def mismatch(self, lines: list, fixed: dict[Cell, str]) -> bool:
+        """True iff exactly one automaton accepts a picture of `lines` agreeing with `fixed`."""
         step = self._step
         pairs = self.start
-        for order, carrier in self.lines:
+        for order, carrier in lines:
             if carrier is not None:
                 pairs = step(pairs, _ENTER)
             for cell in order:
@@ -385,6 +377,35 @@ class _PairSearch:
             if not pairs:
                 return False
         return bool(pairs & self.refuting)
+
+
+def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> list:
+    """A pair search's lines at `size`, each as (cells in reading order, carrier).
+
+    The carrier is 0 where side 0 carries a relation, else None.  Side 0
+    reads in `d2`'s plan when `swap`, else in `d1`'s, and a carried line is
+    read in side 1's order.
+    """
+    lines = []
+    for l1, l2 in itertools.zip_longest(scan_lines(size, d1).reading, scan_lines(size, d2).reading,
+                                        fillvalue=()):
+        if l1 == l2:
+            lines.append((l1, None))
+        elif l1 == l2[::-1]:
+            lines.append((l1 if swap else l2, 0))
+        else:
+            raise ValueError("exact per-size comparison requires plans reading the same lines "
+                             f"in the same order; {d1.code} and {d2.code} differ at {size}")
+    return lines
+
+
+class _Kept(threading.local):
+    """This thread's last question, (side-0 machine, side-1 machine, symbols), and its search."""
+
+    key = search = None
+
+
+_kept = _Kept()
 
 
 def exact_equivalent_for_size(
@@ -402,12 +423,16 @@ def exact_equivalent_for_size(
     int bitmask over the pairs indexed as the search meets them, is advanced
     one read at a time.  Each pair's successors on a read, and each set's
     step on a read, are computed once per question, and the two acceptance
-    verdicts are compared on the final set by one mask.  A line the automata
-    read in opposite orientations is handled by a relation carried by the
-    automaton with fewer states (a1 on a tie): `M[p]`, the states reachable
-    from `p` by reading the line's symbols so far in reverse, is updated per
-    symbol w as M'[p] = union of M[q] over q in delta(p, w), and its read of
-    the line's `#` applies `M` to its frontier at the line's start.
+    verdicts are compared on the final set by one mask.  The search depends
+    only on the question (the two machines and the symbols), so this thread
+    keeps the last one: consecutive calls on the same pair, at any size and
+    in any modes, share it, and a call on a different question replaces
+    it.  A line the automata read in opposite orientations is handled by a
+    relation carried by the automaton with fewer states (a1 on a tie):
+    `M[p]`, the states reachable from `p` by reading the line's symbols so
+    far in reverse, is updated per symbol w as M'[p] = union of M[q] over q
+    in delta(p, w), and its read of the line's `#` applies `M` to its
+    frontier at the line's start.
 
     The alphabet defaults to the symbols both automata share and must be
     non-empty.  Each (automaton, mode) pair is checked as every oracle
@@ -425,14 +450,19 @@ def exact_equivalent_for_size(
     symbols = _symbols(a1.alphabet & a2.alphabet if alphabet is None else alphabet)
     _check_question(a1, d1, symbols)
     _check_question(a2, d2, symbols)
-    search = _PairSearch(a1, d1, a2, d2, size, symbols)
+    swap = len(a2.states) < len(a1.states)
+    lines = _lines(d1, d2, size, swap)
+    key = (a2, a1, symbols) if swap else (a1, a2, symbols)
+    if _kept.key != key:
+        _kept.key, _kept.search = key, _PairSearch(*key)
+    search = _kept.search
     fixed: dict[Cell, str] = {}
-    if not search.mismatch(fixed):
+    if not search.mismatch(lines, fixed):
         return None
     for cell in cells(size):
         for sym in symbols[:-1]:
             fixed[cell] = sym
-            if search.mismatch(fixed):
+            if search.mismatch(lines, fixed):
                 break
         else:
             fixed[cell] = symbols[-1]

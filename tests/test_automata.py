@@ -180,12 +180,24 @@ def test_indexed_automaton_is_collected_with_its_last_reference():
     import gc
     import weakref
 
-    a = m_parity(alphabet=("a", "b"))
-    assert run(a, make_uniform(HexSize(1, 2, 2), "a"))
-    alive = weakref.ref(a)
-    del a
-    gc.collect()
-    assert alive() is None
+    size = HexSize(1, 2, 2)
+    cb = canonical_mode(BOUSTROPHEDON)
+
+    def ask_run(a):
+        assert run(a, make_uniform(size, "a"))
+
+    def ask_exact(a):
+        # the exact oracle keeps its question's search until a different one is asked
+        assert exact_equivalent_for_size(a, cb, a, cb, size) is None
+        assert exact_equivalent_for_size(m_all(), cb, m_all(), cb, size) is None
+
+    for use in (ask_run, ask_exact):
+        a = m_parity(alphabet=("a", "b"))
+        use(a)
+        alive = weakref.ref(a)
+        del a
+        gc.collect()
+        assert alive() is None
 
 
 def test_trace_step_count_and_flags():

@@ -306,38 +306,49 @@ def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
     # both machines carry the relation somewhere in the pool
     assert {len(a1.states) <= len(a2.states) for a1, _, a2, _, _, _ in pool} == {True, False}
 
-    walk = langtools._PairSearch.__init__
+    lines = langtools._lines
 
-    def walk_in_carrier_order(self, *args):
-        walk(self, *args)
-        self.lines = [(order if carrier is None else order[::-1], carrier)
-                      for order, carrier in self.lines]
+    def walk_in_carrier_order(*args):
+        return [(order if carrier is None else order[::-1], carrier)
+                for order, carrier in lines(*args)]
 
-    monkeypatch.setattr(langtools._PairSearch, "__init__", walk_in_carrier_order)
+    # the mutant asks from a slot of its own, and the module's slot is put
+    # back when the test ends, so no later question meets its searches
+    monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+    monkeypatch.setattr(langtools, "_lines", walk_in_carrier_order)
     killed = sum(exact_equivalent_for_size(a1, d1, a2, d2, size) != w
                  for a1, d1, a2, d2, size, w in pool)
     assert killed == len(pool)
 
 
-def _question(rng, alphabet=AB):
-    """Two random machines and modes whose plans read the same lines.
+G = ("R0", "r1", "R2", "r4")
 
-    One of three shapes: B:g against R:g (odd lines reversed), g against r0
-    after g (every line reversed) and B:g against B:g.
+
+def _modes(shape, g):
+    """The two modes of a question shape, by the op `g` both derive from.
+
+    Three shapes: B:g against R:g (odd lines reversed), g against r0 after
+    g (every line reversed) and B:g against B:g.
     """
     from hexscan import DirectionMode
 
-    g = rng.choice(("R0", "r1", "R2", "r4"))
-    shape = rng.randrange(3)
     if shape == 0:
-        return (random_ghbfa(rng, alphabet=alphabet), DirectionMode(BOUSTROPHEDON, g),
-                random_ghrfa(rng, alphabet=alphabet), DirectionMode(RETURNING, g))
+        return DirectionMode(BOUSTROPHEDON, g), DirectionMode(RETURNING, g)
     if shape == 1:
-        return (random_ghrfa(rng, alphabet=alphabet), DirectionMode(RETURNING, g),
-                random_ghrfa(rng, alphabet=alphabet),
-                DirectionMode(RETURNING, compose("r0", g)))
-    d = DirectionMode(BOUSTROPHEDON, g)
-    return random_ghbfa(rng, alphabet=alphabet), d, random_ghbfa(rng, alphabet=alphabet), d
+        return DirectionMode(RETURNING, g), DirectionMode(RETURNING, compose("r0", g))
+    return DirectionMode(BOUSTROPHEDON, g), DirectionMode(BOUSTROPHEDON, g)
+
+
+def _machine(rng, mode, alphabet=AB):
+    draw = random_ghbfa if mode.kind == BOUSTROPHEDON else random_ghrfa
+    return draw(rng, alphabet=alphabet)
+
+
+def _question(rng, alphabet=AB):
+    """Two random machines and modes whose plans read the same lines, in one of `_modes`' shapes."""
+    g = rng.choice(G)
+    d1, d2 = _modes(rng.randrange(3), g)
+    return _machine(rng, d1, alphabet), d1, _machine(rng, d2, alphabet), d2
 
 
 def test_exact_oracle_answers_alike_in_either_argument_order():
@@ -359,8 +370,8 @@ def test_exact_oracle_answers_alike_in_either_argument_order():
     assert asked > 180 and unequal > 100
 
 
-def _set_walk(search, fixed):
-    """`search.mismatch(fixed)` as a walk over a Python set of frontier pairs.
+def _set_walk(search, lines, fixed):
+    """`search.mismatch(lines, fixed)` as a walk over a Python set of frontier pairs.
 
     The pair search's earlier form, kept as its reference: every pair is
     stepped on every symbol a cell allows, the set is rebuilt after every
@@ -380,7 +391,7 @@ def _set_walk(search, fixed):
         return start, tuple(_union(rows, mask) for mask in idx0.value[sym])
 
     pairs = {(idx0.start_mask, idx1.start_mask)}
-    for order, carrier in search.lines:
+    for order, carrier in lines:
         if carrier is not None:
             pairs = {((x0, identity), x1) for x0, x1 in pairs}
         for cell in order:
@@ -396,42 +407,139 @@ def _set_walk(search, fixed):
 
 
 def test_a_reused_pair_search_answers_as_a_fresh_one_and_the_set_walk():
-    # One search answers many restrictions in shuffled order, as the greedy
-    # witness asks them, from steps that earlier answers memoized; each
-    # answer must equal a fresh search's and the set walk's.
-    from hexscan import DirectionMode
-    from hexscan.langtools import _PairSearch
+    # One search per question answers many restrictions at three sizes and
+    # in two pairs of modes, in shuffled order, from steps that earlier
+    # answers memoized; each answer must equal a fresh search's and the set
+    # walk's.
+    from hexscan.langtools import _PairSearch, _lines
 
     rng = random.Random(1717)
     sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(1, 3, 3))
-    smaller_first = set()
+    swaps = set()
     answers = {True: 0, False: 0}
     for draw in range(24):
-        g = rng.choice(("R0", "r1", "R2", "r4"))
-        if draw % 2 == 0:  # B:g against R:g: odd lines reversed
-            a1, d1 = random_ghbfa(rng), DirectionMode(BOUSTROPHEDON, g)
-            d2 = DirectionMode(RETURNING, g)
-        else:  # g against r0 after g: every line reversed
-            a1, d1 = random_ghrfa(rng), DirectionMode(RETURNING, g)
-            d2 = DirectionMode(RETURNING, compose("r0", g))
-        a2, size = random_ghrfa(rng), rng.choice(sizes)
-        grid = list(cells(size))
-        restrictions = [{}]
-        for _ in range(30):
-            pinned = rng.sample(grid, rng.randint(1, len(grid)))
-            restrictions.append({c: rng.choice(AB) for c in pinned})
-        for question in ((a1, d1, a2, d2, size, AB), (a2, d2, a1, d1, size, AB)):
-            smaller_first.add(len(question[0].states) <= len(question[2].states))
-            reused = _PairSearch(*question)
-            rng.shuffle(restrictions)
-            for fixed in restrictions:
-                want = _set_walk(reused, fixed)
-                assert reused.mismatch(fixed) == want, (question[1].code, question[3].code, size)
-                assert _PairSearch(*question).mismatch(fixed) == want
+        shape = draw % 2  # B:g against R:g (odd lines reversed), or g against r0 after g
+        modes = [_modes(shape, g) for g in rng.sample(G, 2)]
+        a1, a2 = _machine(rng, modes[0][0]), _machine(rng, modes[0][1])
+        asks = []
+        for size in rng.sample(sizes, 3):
+            grid = list(cells(size))
+            for d1, d2 in modes:
+                asks.append((d1, d2, size, {}))
+                for _ in range(8):
+                    pinned = rng.sample(grid, rng.randint(1, len(grid)))
+                    asks.append((d1, d2, size, {c: rng.choice(AB) for c in pinned}))
+        for first, second, backwards in ((a1, a2, False), (a2, a1, True)):
+            swap = len(second.states) < len(first.states)
+            swaps.add(swap)
+            machines = (second, first) if swap else (first, second)
+            reused = _PairSearch(*machines, AB)
+            rng.shuffle(asks)
+            for d1, d2, size, fixed in asks:
+                if backwards:
+                    d1, d2 = d2, d1
+                lines = _lines(d1, d2, size, swap)
+                want = _set_walk(reused, lines, fixed)
+                assert reused.mismatch(lines, fixed) == want, (d1.code, d2.code, size)
+                assert _PairSearch(*machines, AB).mismatch(lines, fixed) == want
                 answers[want] += 1
     # each argument carries the relation somewhere, and both answers are common
-    assert smaller_first == {True, False}
+    assert swaps == {True, False}
     assert min(answers.values()) > 200, answers
+
+
+KEPT_SIZES = (HexSize(1, 1, 2), HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2),
+              HexSize(1, 3, 3))
+
+
+def _kept_questions(monkeypatch, seed, count):
+    """Seeded questions, and their fresh answers at every size of `KEPT_SIZES`.
+
+    Each draw gives the same two machines over the one-symbol alphabet
+    ("a",) and over the default one, each in two pairs of modes, so even
+    and odd questions alternate between the two pairs.  A fresh answer
+    comes from an empty slot, so from a search of its own.
+    """
+    from hexscan import langtools
+
+    rng = random.Random(seed)
+    questions = []
+    for _ in range(count):
+        shape = rng.randrange(3)
+        modes = [_modes(shape, g) for g in rng.sample(G, 2)]
+        a1, a2 = _machine(rng, modes[0][0]), _machine(rng, modes[0][1])
+        questions += [(a1, d1, a2, d2, alphabet) for alphabet in (("a",), None) for d1, d2 in modes]
+    fresh = {}
+    for i, (a1, d1, a2, d2, alphabet) in enumerate(questions):
+        for size in KEPT_SIZES:
+            monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+            fresh[i, size] = exact_equivalent_for_size(a1, d1, a2, d2, size, alphabet)
+    return questions, fresh
+
+
+def test_a_kept_search_answers_as_a_fresh_one_in_every_call_order(monkeypatch):
+    # The oracle keeps the last question's search: every answer it gives
+    # must equal a fresh search's, whether the slot is replaced on every
+    # call, one question is asked at every size in turn, or the arguments
+    # of one question come in both orders.
+    from hexscan import langtools
+
+    questions, fresh = _kept_questions(monkeypatch, 1818, 30)
+    monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+    # even questions, then odd ones: no two calls in a row ask the same question
+    replaced = [(i, size) for size in KEPT_SIZES
+                for i in sorted(range(len(questions)), key=lambda i: i % 2)]
+    # one question at every size, then the same machines in the other modes
+    in_turn = [(i, size) for i in range(len(questions)) for size in KEPT_SIZES]
+    for order in (replaced, in_turn):
+        for i, size in order:
+            a1, d1, a2, d2, alphabet = questions[i]
+            assert exact_equivalent_for_size(a1, d1, a2, d2, size, alphabet) == fresh[i, size], \
+                (i, d1.code, d2.code, size, alphabet)
+    for i, size in in_turn:
+        a1, d1, a2, d2, alphabet = questions[i]
+        assert exact_equivalent_for_size(a2, d2, a1, d1, size, alphabet) == fresh[i, size]
+        assert exact_equivalent_for_size(a1, d1, a2, d2, size, alphabet) == fresh[i, size]
+    unequal = sum(w is not None for w in fresh.values())
+    assert 150 < unequal < len(fresh) - 150, (unequal, len(fresh))
+
+
+def test_two_threads_asking_different_questions_get_a_single_threads_answers(monkeypatch):
+    import sys
+    import threading
+
+    from hexscan import langtools
+
+    questions, fresh = _kept_questions(monkeypatch, 1819, 8)
+    # the main thread's own question, which neither thread may replace
+    main = (m_all(), CB, m_some("a"), CB, HexSize(2, 2, 2))
+    assert exact_equivalent_for_size(*main) == make_uniform(HexSize(2, 2, 2), "b")
+    kept = langtools._kept.key
+    halves = (range(0, len(questions), 2), range(1, len(questions), 2))
+    barrier = threading.Barrier(2, timeout=60)
+    got = [[], []]
+
+    def ask(half):
+        for i in halves[half]:
+            a1, d1, a2, d2, alphabet = questions[i]
+            for size in KEPT_SIZES:
+                barrier.wait()
+                got[half].append(exact_equivalent_for_size(a1, d1, a2, d2, size, alphabet))
+
+    threads = [threading.Thread(target=ask, args=(half,)) for half in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for half in (0, 1):
+        assert got[half] == [fresh[i, size] for i in halves[half] for size in KEPT_SIZES]
+    assert langtools._kept.key == kept
 
 
 def test_exact_oracle_agrees_with_enumeration_on_multi_character_symbols():
