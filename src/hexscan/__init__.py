@@ -64,6 +64,7 @@ from .langtools import (
     accepted_set,
     bounded_equivalent,
     enumerate_pictures,
+    equivalent,
     exact_equivalent_for_size,
     image_set,
     picture_sort_key,

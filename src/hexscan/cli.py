@@ -140,7 +140,7 @@ def _cmd_equiv(args) -> int:
     if not alphabet:
         raise ValueError("the automata share no alphabet symbols")
     bound = langtools.SizeBound.max_side(args.max_side)
-    witness = langtools.bounded_equivalent(a1, d1, a2, d2, alphabet, bound, op)
+    witness = langtools.equivalent(a1, d1, a2, d2, alphabet, bound, op)
     if witness is None:
         sys.stdout.write("EQUAL\n")
         return 0

@@ -33,7 +33,11 @@ kind and alphabet.  There are two oracles:
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
-it.
+it.  `equivalent`, the entry point `hexscan equiv` calls, answers
+`bounded_equivalent`'s question by picking between them per size: the exact
+oracle where the two plans align, enumeration of that one size elsewhere,
+within a fixed budget of enumerated pictures.  `bounded_equivalent` stays
+pure enumeration, the reference the other two are tested against.
 """
 
 from __future__ import annotations
@@ -225,6 +229,37 @@ def image_set(sample: LanguageSample, op: str) -> LanguageSample:
     )
 
 
+def _image_question(
+    a1: HexAutomaton,
+    d1: DirectionMode,
+    a2: HexAutomaton,
+    d2: DirectionMode,
+    alphabet: Iterable[str],
+    op: str,
+) -> tuple[tuple[str, ...], DirectionMode]:
+    """A checked bounded question's symbols, and the mode a1 is read in at the image sizes."""
+    symbols = _symbols(alphabet)
+    check_op(op)
+    image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
+    _check_question(a1, d1, symbols)
+    _check_question(a2, d2, symbols)
+    return symbols, image_mode
+
+
+def _enumerated_difference(
+    a1: HexAutomaton,
+    d1: DirectionMode,
+    a2: HexAutomaton,
+    d2: DirectionMode,
+    size: HexSize,
+    symbols: tuple[str, ...],
+) -> HexPicture | None:
+    """The smallest picture at `size` accepted by exactly one side, from the two sets of words."""
+    diff = set(_accepted_words(a1, size, d1, symbols))
+    diff.symmetric_difference_update(_accepted_words(a2, size, d2, symbols))
+    return _picture(size, min(diff)) if diff else None
+
+
 def bounded_equivalent(
     a1: HexAutomaton,
     d1: DirectionMode,
@@ -241,18 +276,15 @@ def bounded_equivalent(
     a1's language in mode `compose(g, invert(op))`, so both sides are read
     at the image sizes, as sets of symbol words in row-major order.  Sizes
     are walked in `sorted_sizes` order and the walk stops at the first size
-    with a difference; one picture is built, from its smallest word.
+    with a difference; one picture is built, from its smallest word.  It
+    enumerates every size, and is the reference `equivalent` is tested
+    against.
     """
-    symbols = _symbols(alphabet)
-    check_op(op)
-    image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
-    _check_question(a1, d1, symbols)
-    _check_question(a2, d2, symbols)
+    symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
     for size in bound.image(op).sorted_sizes():
-        diff = set(_accepted_words(a1, size, image_mode, symbols))
-        diff.symmetric_difference_update(_accepted_words(a2, size, d2, symbols))
-        if diff:
-            return _picture(size, min(diff))
+        witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
+        if witness is not None:
+            return witness
     return None
 
 
@@ -379,12 +411,14 @@ class _PairSearch:
         return bool(pairs & self.refuting)
 
 
-def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> list:
+def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> list | None:
     """A pair search's lines at `size`, each as (cells in reading order, carrier).
 
     The carrier is 0 where side 0 carries a relation, else None.  Side 0
     reads in `d2`'s plan when `swap`, else in `d1`'s, and a carried line is
-    read in side 1's order.
+    read in side 1's order.  None where the two plans do not read the same
+    lines in the same order, each line either way: no pair search decides
+    that size.
     """
     lines = []
     for l1, l2 in itertools.zip_longest(scan_lines(size, d1).reading, scan_lines(size, d2).reading,
@@ -394,8 +428,7 @@ def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> l
         elif l1 == l2[::-1]:
             lines.append((l1 if swap else l2, 0))
         else:
-            raise ValueError("exact per-size comparison requires plans reading the same lines "
-                             f"in the same order; {d1.code} and {d2.code} differ at {size}")
+            return None
     return lines
 
 
@@ -452,6 +485,9 @@ def exact_equivalent_for_size(
     _check_question(a2, d2, symbols)
     swap = len(a2.states) < len(a1.states)
     lines = _lines(d1, d2, size, swap)
+    if lines is None:
+        raise ValueError("exact per-size comparison requires plans reading the same lines "
+                         f"in the same order; {d1.code} and {d2.code} differ at {size}")
     key = (a2, a1, symbols) if swap else (a1, a2, symbols)
     if _kept.key != key:
         _kept.key, _kept.search = key, _PairSearch(*key)
@@ -467,3 +503,47 @@ def exact_equivalent_for_size(
         else:
             fixed[cell] = symbols[-1]
     return picture_from_cells(size, fixed)
+
+
+# The most pictures `equivalent` enumerates, summed over the sizes where the
+# two plans do not align; a larger question is refused before any work.
+_ENUMERATION_BUDGET = 2 ** 20
+
+
+def equivalent(
+    a1: HexAutomaton,
+    d1: DirectionMode,
+    a2: HexAutomaton,
+    d2: DirectionMode,
+    alphabet: Iterable[str],
+    bound: SizeBound,
+    op: str = "R0",
+) -> HexPicture | None:
+    """`bounded_equivalent`'s answer, from the exact oracle wherever it applies.
+
+    Same signature and contract: None iff a2's accepted set equals the
+    op-image of a1's within the bound, else the smallest picture by
+    `picture_sort_key` in the symmetric difference.  Image sizes are walked
+    in `sorted_sizes` order and the walk stops at the first size with a
+    difference.  At a size where the two plans read the same lines in the
+    same order, each line either way, `exact_equivalent_for_size` decides
+    it; at any other size its pictures are enumerated.  The pictures those
+    other sizes hold are counted first, and past `_ENUMERATION_BUDGET` the
+    question is refused with a ValueError before any work.
+    """
+    symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
+    sizes = bound.image(op).sorted_sizes()
+    aligned = [_lines(image_mode, d2, size, False) is not None for size in sizes]
+    pictures = sum(len(symbols) ** cell_count(size)
+                   for size, exact in zip(sizes, aligned) if not exact)
+    if pictures > _ENUMERATION_BUDGET:
+        raise ValueError(f"the question needs {pictures} pictures enumerated where the two plans "
+                         f"do not align, over the budget of {_ENUMERATION_BUDGET}")
+    for size, exact in zip(sizes, aligned):
+        if exact:
+            witness = exact_equivalent_for_size(a1, image_mode, a2, d2, size, symbols)
+        else:
+            witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
+        if witness is not None:
+            return witness
+    return None

@@ -1,13 +1,15 @@
-"""The enumeration oracle against its definition, its input checks, and its
-member-free path.
+"""The bounded oracles against their definition, their input checks, and the
+enumeration oracle's member-free path.
 
 `bounded_equivalent` reads a1 in the mode that makes its language the
 op-image, compares symbol words in row-major order and builds one picture,
-the witness.  Its definition is the picture-level comparison below, over
-`accepted_set` and `image_set`; the two must agree on verdict and witness,
-byte for byte.  Ordering by cell count, then serialized text, is kept as an
-independent reference for the witness order wherever every side is at most
-9 and every symbol character sorts above the space.
+the witness.  `equivalent` answers the same question, from the exact oracle
+at each size where the two plans align.  Their definition is the
+picture-level comparison below, over `accepted_set` and `image_set`; each
+must agree with it on verdict and witness, byte for byte.  Ordering by cell
+count, then serialized text, is kept as an independent reference for the
+witness order wherever every side is at most 9 and every symbol character
+sorts above the space.
 """
 
 import random
@@ -20,10 +22,13 @@ from hexscan import (
     BORDER_SYMBOL,
     BOUSTROPHEDON,
     RETURNING,
+    DirectionMode,
     HexSize,
     canonical_mode,
     cell_count,
+    compose,
     determinize,
+    invert,
     langtools,
     scan_lines,
     serialize_automaton,
@@ -35,6 +40,7 @@ from hexscan.langtools import (
     SizeBound,
     accepted_set,
     bounded_equivalent,
+    equivalent,
     image_set,
     picture_sort_key,
 )
@@ -83,27 +89,52 @@ def _question(rng):
     return a1, d1, a2, d2, alphabet, rng.choice(BOUNDS), rng.choice(OP_NAMES)
 
 
-def test_oracle_matches_its_definition():
+def test_oracle_matches_its_definition(monkeypatch):
+    calls = {"exact": 0, "enumerated": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(langtools, "exact_equivalent_for_size",
+                        counted("exact", langtools.exact_equivalent_for_size))
+    monkeypatch.setattr(langtools, "_enumerated_difference",
+                        counted("enumerated", langtools._enumerated_difference))
     rng = random.Random(8008)
     seen_ops, seen_modes, unequal = set(), set(), 0
     witness_sizes = set()
+    # questions on which `equivalent` took the exact path, the enumeration path
+    took_exact = took_enumeration = 0
     for i in range(1200):
         a1, d1, a2, d2, alphabet, bound, op = question = _question(rng)
         diff = difference(*question)
         want = min(diff, key=picture_sort_key) if diff else None
+        before = calls["exact"]
         got = bounded_equivalent(*question)
+        assert calls["exact"] == before, i
         assert got == want, (i, d1.code, d2.code, op)
         if got is not None:
             assert serialize_picture(got) == serialize_picture(want)
             assert got == min(diff, key=text_order), i
             unequal += 1
             witness_sizes.add(got.size)
+        before = dict(calls)
+        got = equivalent(*question)
+        assert got == want, (i, d1.code, d2.code, op)
+        if got is not None:
+            assert serialize_picture(got) == serialize_picture(want)
+        took_exact += calls["exact"] > before["exact"]
+        took_enumeration += calls["enumerated"] > before["enumerated"]
         seen_ops.add(op)
         seen_modes |= {d1, d2}
     assert seen_ops == set(OP_NAMES) and seen_modes == set(ALL_MODES)
     assert 200 < unequal < 1000
     # witnesses come from every 3-cell size of the tied bound
     assert {HexSize(1, 1, 3), HexSize(1, 3, 1), HexSize(3, 1, 1)} <= witness_sizes
+    # both paths serve many questions (1,054 and 617 of the 1,200)
+    assert took_exact > 1000 and took_enumeration > 500, (took_exact, took_enumeration)
 
 
 def test_equal_question_builds_no_picture(monkeypatch):
@@ -119,15 +150,28 @@ def test_equal_question_builds_no_picture(monkeypatch):
                                   op="r0") is None
 
 
+def _unaligned_pictures(d1, d2, symbols, bound, op):
+    """Pictures at the image sizes where the plans read different lines, or in another order."""
+    image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
+    total = 0
+    for size in bound.image(op).sizes:
+        lines = [[set(line) for line in scan_lines(size, d).reading] for d in (image_mode, d2)]
+        if lines[0] != lines[1]:
+            total += len(symbols) ** cell_count(size)
+    return total
+
+
 @pytest.mark.parametrize("case", ["invalid a1", "invalid a2", "kind d1", "kind d2",
-                                  "alphabet", "op"])
+                                  "alphabet", "op", "budget"])
 def test_inputs_checked_before_enumeration(case, monkeypatch):
     def refuse(*args):
-        raise AssertionError("enumerated before checking the question")
+        raise AssertionError("worked before checking the question")
 
     monkeypatch.setattr(langtools, "_accepted_words", refuse)
+    monkeypatch.setattr(langtools, "exact_equivalent_for_size", refuse)
     # the machines' builders: an invalid machine is refused when it is built
-    a1, d1, a2, d2, alphabet, op = m_all, CB, m_all, CB, AB, "R0"
+    a1, d1, a2, d2, alphabet, bound, op = m_all, CB, m_all, CB, AB, BOUND2, "R0"
+    oracles = (bounded_equivalent, equivalent)
     error = ValueError
     if case == "invalid a1":
         a1, error = m_invalid, InvalidAutomatonError
@@ -139,12 +183,21 @@ def test_inputs_checked_before_enumeration(case, monkeypatch):
         d2 = CR
     elif case == "alphabet":
         alphabet = ("a", "b", "c")
-    else:
+    elif case == "op":
         op = "R6"
-    with pytest.raises(error) as info:
-        bounded_equivalent(a1(), d1, a2(), d2, alphabet, BOUND2, op)
-    if error is InvalidAutomatonError:
-        assert str(info.value) == "forward rule f a -> b targets backward state"
+    else:
+        # only `equivalent` has a budget: 2^37 pictures at (4,4,4) alone
+        bound, op, oracles = SizeBound.max_side(4), "R1", (equivalent,)
+    for oracle in oracles:
+        with pytest.raises(error) as info:
+            oracle(a1(), d1, a2(), d2, alphabet, bound, op)
+        if error is InvalidAutomatonError:
+            assert str(info.value) == "forward rule f a -> b targets backward state"
+    if case == "budget":
+        pictures = _unaligned_pictures(d1, d2, AB, bound, op)
+        assert pictures > 2 ** 37
+        assert str(info.value) == (f"the question needs {pictures} pictures enumerated where "
+                                   "the two plans do not align, over the budget of 1048576")
 
 
 @pytest.mark.parametrize("args", [("--d1", "R:R0"), ("--d2", "R:r3"), ("--op", "R6")])

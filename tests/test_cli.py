@@ -21,9 +21,11 @@ from hexscan import (
 )
 from hexscan.cli import build_parser, main
 from hexscan.hexgrid import Cell, cells
+from hexscan.langtools import SizeBound, exact_equivalent_for_size
 
 from conftest import (
-    m_all, m_none, m_parity, m_pipe_named, m_plus_named, marker_picture, random_ghbfa,
+    m_all, m_at_most, m_none, m_parity, m_pipe_named, m_plus_named, marker_picture,
+    random_ghbfa,
 )
 
 COMMANDS = "render transform run determinize to-rfa mirror enum equiv group".split()
@@ -173,6 +175,33 @@ def test_equiv_equal(capsys, all_aut):
                            "--a2", all_aut, "--d2", "B:r2", "--op", "R0",
                            "--max-side", "2")
     assert (code, out) == (0, "EQUAL\n")
+
+
+def test_equiv_decides_sizes_enumeration_cannot_reach(capsys, tmp_path):
+    # max side 4 holds 2^37 pictures at (4,4,4) alone; B:R0 against R:R0
+    # reads the same lines in the same order, so every size is decided exactly
+    paths = {}
+    for most in (2, 3):
+        src = tmp_path / f"at-most-{most}.hxa"
+        src.write_text(serialize_automaton(m_at_most(most)))
+        out = tmp_path / f"at-most-{most}-rfa.hxa"
+        assert run_cli(capsys, "to-rfa", "--automaton", str(src), "-o", str(out))[0] == 0
+        paths[most] = src, out
+
+    def equiv(a1, a2, *extra):
+        return run_cli(capsys, "equiv", "--a1", str(a1), "--d1", "B:R0", "--a2", str(a2),
+                       "--d2", "R:R0", "--max-side", "4", *extra)
+
+    assert equiv(*paths[2]) == (0, "EQUAL\n", "")
+    code, out, _ = equiv(paths[2][0], paths[3][1])
+    a1, a2 = m_at_most(2), parse_automaton(paths[3][1].read_text())[0]
+    first = next(w for size in SizeBound.max_side(4).sorted_sizes()
+                 if (w := exact_equivalent_for_size(a1, parse_direction("B:R0"), a2,
+                                                    parse_direction("R:R0"), size)))
+    assert (code, out) == (1, serialize_picture(first))
+    # R1 turns the line family, so the large sizes would be enumerated
+    code, out, err = equiv(*paths[2], "--op", "R1")
+    assert (code, out) == (2, "") and err.startswith("error: the question needs ")
 
 
 def test_render(capsys, tmp_path):
