@@ -3,6 +3,13 @@
 Exit codes: 0 accept/equal/success, 1 reject/not-equal, 2 usage error,
 3 file or format error.  Structured output uses the %HXP / %HXA text formats
 so results can be fed back in.
+
+The grammar is declared once, in `_GRAMMAR`.  `build_parser` builds the
+argparse parser from it, and `main` reads a well-formed command line
+straight from it (the command, then each option spelled exactly with its
+value, or the one positional, no value beginning with `-`, no repeats).
+Any other line, help and errors included, goes to the parser, so every
+help, usage and error text is argparse's.
 """
 
 from __future__ import annotations
@@ -171,118 +178,151 @@ def _cmd_group(args) -> int:
     raise ValueError("group requires one of --table, --normal-form, --compose")
 
 
-def _add_render(sub) -> None:
-    p = sub.add_parser("render", help="pretty-print a picture")
-    p.add_argument("picture")
-    p.add_argument("--border", action="store_true", help="include the # ring")
-    p.set_defaults(fn=_cmd_render)
-
-
-def _add_transform(sub) -> None:
-    p = sub.add_parser("transform", help="apply a symmetry op to a picture")
-    p.add_argument("--op", required=True)
-    p.add_argument("picture")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_transform)
-
-
-def _add_run(sub) -> None:
-    p = sub.add_parser("run", help="run an automaton on a picture")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("--direction", help="direction code, e.g. B:R0 (default: file or canonical)")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("picture")
-    p.set_defaults(fn=_cmd_run)
-
-
-def _add_determinize(sub) -> None:
-    p = sub.add_parser("determinize", help="subset construction")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_determinize)
-
-
-def _add_to_rfa(sub) -> None:
-    p = sub.add_parser("to-rfa", help="convert a boustrophedon automaton to a returning one")
-    p.add_argument("--automaton", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_to_rfa)
-
-
-def _add_mirror(sub) -> None:
-    p = sub.add_parser("mirror", help="mirror a returning automaton's language")
-    p.add_argument("--target", required=True, choices=["r0", "r3", "R3"])
-    p.add_argument("--automaton", required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_mirror)
-
-
-def _add_enum(sub) -> None:
-    p = sub.add_parser("enum", help="enumerate pictures up to a size bound")
-    p.add_argument("--alphabet", required=True, help="comma-separated symbols")
-    p.add_argument("--max-side", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.set_defaults(fn=_cmd_enum)
-
-
-def _add_equiv(sub) -> None:
-    p = sub.add_parser("equiv", help="compare two bounded languages up to a symmetry op")
-    p.add_argument("--a1", required=True)
-    p.add_argument("--d1", required=True)
-    p.add_argument("--a2", required=True)
-    p.add_argument("--d2", required=True)
-    p.add_argument("--op", default="R0")
-    p.add_argument("--max-side", type=int, default=2)
-    p.set_defaults(fn=_cmd_equiv)
-
-
-def _add_group(sub) -> None:
-    p = sub.add_parser("group", help="inspect the symmetry group")
-    p.add_argument("--table", action="store_true")
-    p.add_argument("--normal-form", metavar="OP")
-    p.add_argument("--compose", nargs=2, metavar=("G", "H"))
-    p.set_defaults(fn=_cmd_group)
-
-
-# Each command's subparser builder, in the order help lists the commands.
-_SUBPARSERS = {
-    "render": _add_render,
-    "transform": _add_transform,
-    "run": _add_run,
-    "determinize": _add_determinize,
-    "to-rfa": _add_to_rfa,
-    "mirror": _add_mirror,
-    "enum": _add_enum,
-    "equiv": _add_equiv,
-    "group": _add_group,
+# The command-line grammar: each command's help line, its function, and
+# its arguments, each as the flags and keyword arguments of one
+# `add_argument` call.  Commands and arguments are listed in the order help
+# lists them; every option names its `dest`.
+_GRAMMAR = {
+    "render": ("pretty-print a picture", _cmd_render, [
+        (("picture",), {}),
+        (("--border",), dict(dest="border", action="store_true", help="include the # ring")),
+    ]),
+    "transform": ("apply a symmetry op to a picture", _cmd_transform, [
+        (("--op",), dict(dest="op", required=True)),
+        (("picture",), {}),
+        (("-o", "--output"), dict(dest="output")),
+    ]),
+    "run": ("run an automaton on a picture", _cmd_run, [
+        (("--automaton",), dict(dest="automaton", required=True)),
+        (("--direction",), dict(
+            dest="direction",
+            help="direction code, e.g. B:R0 (default: file or canonical)")),
+        (("--trace",), dict(dest="trace", action="store_true")),
+        (("picture",), {}),
+    ]),
+    "determinize": ("subset construction", _cmd_determinize, [
+        (("--automaton",), dict(dest="automaton", required=True)),
+        (("-o", "--output"), dict(dest="output")),
+    ]),
+    "to-rfa": ("convert a boustrophedon automaton to a returning one", _cmd_to_rfa, [
+        (("--automaton",), dict(dest="automaton", required=True)),
+        (("-o", "--output"), dict(dest="output")),
+    ]),
+    "mirror": ("mirror a returning automaton's language", _cmd_mirror, [
+        (("--target",), dict(dest="target", required=True, choices=["r0", "r3", "R3"])),
+        (("--automaton",), dict(dest="automaton", required=True)),
+        (("-o", "--output"), dict(dest="output")),
+    ]),
+    "enum": ("enumerate pictures up to a size bound", _cmd_enum, [
+        (("--alphabet",), dict(dest="alphabet", required=True,
+                               help="comma-separated symbols")),
+        (("--max-side",), dict(dest="max_side", type=int, required=True)),
+        (("--count-only",), dict(dest="count_only", action="store_true")),
+    ]),
+    "equiv": ("compare two bounded languages up to a symmetry op", _cmd_equiv, [
+        (("--a1",), dict(dest="a1", required=True)),
+        (("--d1",), dict(dest="d1", required=True)),
+        (("--a2",), dict(dest="a2", required=True)),
+        (("--d2",), dict(dest="d2", required=True)),
+        (("--op",), dict(dest="op", default="R0")),
+        (("--max-side",), dict(dest="max_side", type=int, default=2)),
+    ]),
+    "group": ("inspect the symmetry group", _cmd_group, [
+        (("--table",), dict(dest="table", action="store_true")),
+        (("--normal-form",), dict(dest="normal_form", metavar="OP")),
+        (("--compose",), dict(dest="compose", nargs=2, metavar=("G", "H"))),
+    ]),
 }
 
 
-def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The `hexscan` parser, with subparsers for `commands` (default: all)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The `hexscan` parser, with one subparser per command of the grammar."""
     parser = argparse.ArgumentParser(
         prog="hexscan",
         description="Hexagonal pictures, their symmetry group, and scanning automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add in _SUBPARSERS.items():
-        if commands is None or name in commands:
-            add(sub)
+    for name, (help_line, fn, arguments) in _GRAMMAR.items():
+        p = sub.add_parser(name, help=help_line)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser()` gives for a well-formed `argv`, else None.
+
+    Well-formed means: `argv[0]` is a command, and every later token is one
+    of its option strings spelled exactly, followed by its value(s), or its
+    one positional; no value or positional begins with `-`; an `int` value
+    converts and a `choices` value is a member; no option is repeated and
+    every required argument is present.  Any other spelling (help,
+    abbreviations, `--opt=value`, `--`, repeats, errors) gives None, and
+    argparse reads it.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, fn, arguments = _GRAMMAR[argv[0]]
+    options, values, required = {}, {}, set()
+    positional = None
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-"):
+            positional = flags[0]
+            required.add(positional)
+            continue
+        options.update(dict.fromkeys(flags, kwargs))
+        store_true = kwargs.get("action") == "store_true"
+        values[kwargs["dest"]] = kwargs.get("default", False if store_true else None)
+        if kwargs.get("required"):
+            required.add(kwargs["dest"])
+    seen = set()
+    at = 1
+    while at < len(argv):
+        token = argv[at]
+        at += 1
+        if not token.startswith("-"):
+            if positional is None or positional in seen:
+                return None
+            seen.add(positional)
+            values[positional] = token
+            continue
+        kwargs = options.get(token)
+        if kwargs is None or kwargs["dest"] in seen:
+            return None
+        seen.add(kwargs["dest"])
+        if kwargs.get("action") == "store_true":
+            values[kwargs["dest"]] = True
+            continue
+        count = kwargs.get("nargs", 1)
+        taken = argv[at:at + count]
+        at += count
+        if len(taken) < count or any(value.startswith("-") for value in taken):
+            return None
+        if "type" in kwargs:
+            try:
+                taken = [kwargs["type"](value) for value in taken]
+            except ValueError:
+                return None
+        if "choices" in kwargs and any(value not in kwargs["choices"] for value in taken):
+            return None
+        values[kwargs["dest"]] = taken if "nargs" in kwargs else taken[0]
+    if not required <= seen:
+        return None
+    return argparse.Namespace(command=argv[0], **values, fn=fn)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the named command's subparser is built: all nine cost several
-    # times as much. Text that lists every command (help, a missing or
-    # unknown command, leftover arguments) comes from the full parser.
-    named = argv[:1] if argv and argv[0] in _SUBPARSERS else None
-    try:
-        args, leftover = build_parser(named).parse_known_args(argv)
-        if leftover:
+    # Building the argparse parser costs more than most commands' work (it
+    # translates each of its strings through gettext), so a well-formed line
+    # is read straight from the grammar.
+    args = _read_argv(argv)
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.fn(args)
     except FormatError as exc:

@@ -226,9 +226,10 @@ def parse_picture(text: str) -> HexPicture:
     except ValueError as exc:
         raise FormatError(f"bad size line: {exc}") from None
     body = lines[2:]
+    # compared before any per-row work, which grows with the declared size
+    if len(body) != size.row_count:
+        raise FormatError(f"size {size} needs {size.row_count} row lines, got {len(body)}")
     widths = row_widths(size)
-    if len(body) != len(widths):
-        raise FormatError(f"size {size} needs {len(widths)} row lines, got {len(body)}")
     rows = []
     for r, line in enumerate(body):
         if not line.startswith("row:"):

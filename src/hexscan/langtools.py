@@ -483,11 +483,23 @@ def exact_equivalent_for_size(
     symbols = _symbols(a1.alphabet & a2.alphabet if alphabet is None else alphabet)
     _check_question(a1, d1, symbols)
     _check_question(a2, d2, symbols)
-    swap = len(a2.states) < len(a1.states)
+    swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
     lines = _lines(d1, d2, size, swap)
     if lines is None:
         raise ValueError("exact per-size comparison requires plans reading the same lines "
                          f"in the same order; {d1.code} and {d2.code} differ at {size}")
+    return _searched_difference(a1, a2, symbols, size, lines, swap)
+
+
+def _searched_difference(
+    a1: HexAutomaton,
+    a2: HexAutomaton,
+    symbols: tuple[str, ...],
+    size: HexSize,
+    lines: list,
+    swap: bool,
+) -> HexPicture | None:
+    """`exact_equivalent_for_size` on a checked question, given `_lines(d1, d2, size, swap)`."""
     key = (a2, a1, symbols) if swap else (a1, a2, symbols)
     if _kept.key != key:
         _kept.key, _kept.search = key, _PairSearch(*key)
@@ -526,24 +538,26 @@ def equivalent(
     `picture_sort_key` in the symmetric difference.  Image sizes are walked
     in `sorted_sizes` order and the walk stops at the first size with a
     difference.  At a size where the two plans read the same lines in the
-    same order, each line either way, `exact_equivalent_for_size` decides
-    it; at any other size its pictures are enumerated.  The pictures those
-    other sizes hold are counted first, and past `_ENUMERATION_BUDGET` the
-    question is refused with a ValueError before any work.
+    same order, each line either way, `exact_equivalent_for_size`'s pair
+    search decides it, on the lines computed for the alignment test; at any
+    other size its pictures are enumerated.  The pictures those other sizes
+    hold are counted first, and past `_ENUMERATION_BUDGET` the question is
+    refused with a ValueError before any work.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
+    swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
     sizes = bound.image(op).sorted_sizes()
-    aligned = [_lines(image_mode, d2, size, False) is not None for size in sizes]
+    plans = [_lines(image_mode, d2, size, swap) for size in sizes]
     pictures = sum(len(symbols) ** cell_count(size)
-                   for size, exact in zip(sizes, aligned) if not exact)
+                   for size, lines in zip(sizes, plans) if lines is None)
     if pictures > _ENUMERATION_BUDGET:
         raise ValueError(f"the question needs {pictures} pictures enumerated where the two plans "
                          f"do not align, over the budget of {_ENUMERATION_BUDGET}")
-    for size, exact in zip(sizes, aligned):
-        if exact:
-            witness = exact_equivalent_for_size(a1, image_mode, a2, d2, size, symbols)
-        else:
+    for size, lines in zip(sizes, plans):
+        if lines is None:
             witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
+        else:
+            witness = _searched_difference(a1, a2, symbols, size, lines, swap)
         if witness is not None:
             return witness
     return None

@@ -98,8 +98,8 @@ def test_oracle_matches_its_definition(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(langtools, "exact_equivalent_for_size",
-                        counted("exact", langtools.exact_equivalent_for_size))
+    monkeypatch.setattr(langtools, "_searched_difference",
+                        counted("exact", langtools._searched_difference))
     monkeypatch.setattr(langtools, "_enumerated_difference",
                         counted("enumerated", langtools._enumerated_difference))
     rng = random.Random(8008)
@@ -168,7 +168,7 @@ def test_inputs_checked_before_enumeration(case, monkeypatch):
         raise AssertionError("worked before checking the question")
 
     monkeypatch.setattr(langtools, "_accepted_words", refuse)
-    monkeypatch.setattr(langtools, "exact_equivalent_for_size", refuse)
+    monkeypatch.setattr(langtools, "_searched_difference", refuse)
     # the machines' builders: an invalid machine is refused when it is built
     a1, d1, a2, d2, alphabet, bound, op = m_all, CB, m_all, CB, AB, BOUND2, "R0"
     oracles = (bounded_equivalent, equivalent)

@@ -1,3 +1,5 @@
+import argparse
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from hexscan import (
     canonical_mode,
     parse_direction,
 )
-from hexscan.cli import build_parser, main
+from hexscan.cli import _GRAMMAR, _read_argv, build_parser, main
 from hexscan.hexgrid import Cell, cells
 from hexscan.langtools import SizeBound, exact_equivalent_for_size
 
@@ -334,6 +336,16 @@ def test_usage_error_exit_2(capsys, tmp_path, all_aut):
     assert err == "error: the automata share no alphabet symbols\n"
 
 
+def test_huge_declared_size_is_refused_before_any_row_work(capsys, tmp_path):
+    # the row count is compared before the rows' widths are listed, which
+    # would take time and memory in proportion to the declared size
+    path = tmp_path / "huge.hxp"
+    path.write_text("%HXP 1\nsize: 1000000000000 1 1\nrow: a\n")
+    code, out, err = run_cli(capsys, "render", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: size (1000000000000,1,1) needs 1000000000000 row lines, got 1\n"
+
+
 def test_format_error_exit_3(capsys, tmp_path):
     bad = tmp_path / "bad.hxp"
     bad.write_text("not a picture\n")
@@ -360,19 +372,95 @@ _USAGE_ARGVS = [
     ["mirror", "--target", "r9"],
     ["enum", "--max-side", "x"],
     ["group", "--compose", "R1"],
+    # spellings main leaves to argparse
+    ["enum", "--alphabet", "a,b", "--max", "1"],
+    ["equiv", "--a1=x"],
+    ["group", "--compose", "R1", "R1", "--compose", "r0", "r1"],
+    ["enum", "--alphabet", "a", "--max-side", "1", "--"],
+    ["transform", "-ofile"],
 ]
 
 
 @pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_usage_text_is_the_full_parsers(capsys, argv):
-    # main builds only the named command's parser; what it prints and
+    # main reads well-formed lines without argparse; what it prints and
     # returns must be what the parser with all nine commands gives
     code = main(argv)
     out, err = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        expected_code = exc.code or 0
+    else:
+        expected_code = args.fn(args)
     expected = capsys.readouterr()
-    assert (code, out, err) == (exc.value.code or 0, expected.out, expected.err)
+    assert (code, out, err) == (expected_code, expected.out, expected.err)
+
+
+def _corpus(rng, command, count):
+    """Seeded argvs for `command`: well-formed lines, and each spelling argparse alone reads."""
+    _, _, arguments = _GRAMMAR[command]
+    good = {"--max-side": "2", "--target": "r3", "--compose": "R1 r2", "--d1": "B:R0",
+            "--d2": "R:r0"}
+    chunks = []
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-"):
+            chunks.append(["p.hxp"])
+        elif kwargs.get("action") == "store_true":
+            chunks.append([rng.choice(flags)])
+        else:
+            chunks.append([flags[-1], *good.get(flags[-1], "x.hxa").split()])
+    mutations = [
+        lambda c: c + c[:1],                                              # a repeat
+        lambda c: c + [["extra"]],                                        # another positional
+        lambda c: c + [[rng.choice(["-h", "--help", "--", "--bogus"])]],
+        lambda c: [[t[:-1] if t.startswith("--") else t for t in ch] for ch in c],  # abbreviated
+        lambda c: [[f"{ch[0]}={ch[1]}", *ch[2:]] if len(ch) > 1 else ch for ch in c],
+        lambda c: [ch[:1] + [rng.choice(["-1", "-x", "", "x", "+3", "r9", "07"])] + ch[2:]
+                   if len(ch) > 1 else ch for ch in c],                   # odd values
+        lambda c: [ch[:-1] if len(ch) > 1 else ch for ch in c],           # a value missing
+    ]
+    for _ in range(count):
+        picked = [ch for ch in chunks if rng.random() < 0.85]
+        rng.shuffle(picked)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            picked = rng.choice(mutations)(picked)
+        yield [command] + [token for chunk in picked for token in chunk]
+
+
+def test_reader_agrees_with_argparse(capsys):
+    # every namespace main reads without argparse is the one argparse gives
+    parser = build_parser()
+    rng = random.Random(2020)
+    accepted = 0
+    argvs = [[], ["bogus"], ["-h"], ["--", "render", "p.hxp"]]
+    for command in COMMANDS:
+        argvs.extend(_corpus(rng, command, 150))
+    for argv in argvs:
+        args = _read_argv(argv)
+        if args is None:
+            continue
+        accepted += 1
+        assert vars(args) == vars(parser.parse_args(argv)), argv
+    assert capsys.readouterr() == ("", "")
+    assert accepted >= 500
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--a1", "a", "--d1", "B:R0", "--a2", "a", "--d2", "B:r2", "--max-side", "1"],
+    ["determinize", "--automaton", "a", "-o", "out"],
+    ["mirror", "--automaton", "r", "--target", "R3", "--output", "out"],
+])
+def test_well_formed_lines_build_no_parser(tmp_path, monkeypatch, argv):
+    (tmp_path / "a").write_text(serialize_automaton(m_all()))
+    (tmp_path / "r").write_text(serialize_automaton(m_all(RETURNING)))
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert main(argv) == 0
 
 
 def test_console_entry_point_runs():
