@@ -22,7 +22,6 @@ from .symmetry import (
     OP_NAMES,
     apply_op,
     compose,
-    evaluate_word,
     invert,
     normal_form,
     transform_size,
@@ -44,14 +43,12 @@ from .automata import (
     RunTrace,
     automaton,
     determinize,
-    is_deterministic,
     parse_automaton,
     run,
     serialize_automaton,
     validate,
 )
 from .transforms import (
-    expected_output_states,
     family_normalizer,
     hbfa_to_hrfa,
     mirror_line_order,

@@ -173,11 +173,6 @@ def _check_question(a: HexAutomaton, d: DirectionMode, symbols: Iterable[str]) -
         raise ValueError(f"symbols {sorted(missing)} outside automaton alphabet")
 
 
-def is_deterministic(a: HexAutomaton) -> bool:
-    """True iff no state has two rules on the same symbol, `#` included."""
-    return all(mask & (mask - 1) == 0 for row in a._indexed.value.values() for mask in row)
-
-
 class IndexedAutomaton(NamedTuple):
     """Rule tables over bit-indexed states; frontiers are int bitmasks.
 

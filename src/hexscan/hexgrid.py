@@ -20,7 +20,6 @@ which makes the three lattice line families exactly {r constant},
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -89,13 +88,6 @@ def cell_count(size: HexSize) -> int:
     return l * m + m * n + n * l - l - m - n + 1
 
 
-def is_valid_cell(size: HexSize, cell: Cell) -> bool:
-    """True iff (r, q) lies inside the hexagon of the given size."""
-    r, q = cell
-    l, m, n = size.l, size.m, size.n
-    return 0 <= r <= l + n - 2 and -(l - 1) <= q <= m - 1 and 0 <= q + r <= m + n - 2
-
-
 def cells(size: HexSize) -> Iterator[Cell]:
     """All cells in row-major order (top row first, left to right)."""
     for r in range(size.row_count):
@@ -135,29 +127,6 @@ class HexPicture:
                 raise ValueError(f"row {r} must have {want} cells, got {len(row)}")
             for symbol in row:
                 _check_symbol(symbol)
-
-    def get(self, cell: Cell) -> str:
-        if not is_valid_cell(self.size, cell):
-            raise IndexError(f"cell {cell} outside picture of size {self.size}")
-        return self.rows[cell.r][cell.q - offset(self.size, cell.r)]
-
-    def set(self, cell: Cell, symbol: str) -> "HexPicture":
-        """Return a copy of the picture with one cell replaced."""
-        if not is_valid_cell(self.size, cell):
-            raise IndexError(f"cell {cell} outside picture of size {self.size}")
-        _check_symbol(symbol)
-        j = cell.q - offset(self.size, cell.r)
-        rows = list(self.rows)
-        row = list(rows[cell.r])
-        row[j] = symbol
-        rows[cell.r] = tuple(row)
-        return HexPicture(self.size, tuple(rows))
-
-    def symbols(self) -> frozenset[str]:
-        return frozenset(itertools.chain.from_iterable(self.rows))
-
-    def cells(self) -> Iterator[Cell]:
-        return cells(self.size)
 
 
 def make_uniform(size: HexSize, symbol: str) -> HexPicture:

@@ -19,17 +19,20 @@ kind and alphabet.  There are two oracles:
     at a time.  Each pair gets a bit index when the search first meets it,
     so a set of pairs is one int bitmask; a pair's successors on a read and
     a set's step on a read are each computed once per question.  The search
-    is per question (the two machines and the alphabet), not per size: the
-    last question's search is kept, one per thread, so consecutive calls on
-    the same pair at other sizes or in other modes reuse its pairs and
-    steps, and a different question replaces it.  Where one plan reads a
-    line reversed (B:g against R:g, g against r0 after g), the automaton
-    with fewer states carries the relation of the line's symbols read so
-    far in reverse, one bitmask per state, and its read of the line's `#`
-    applies the relation to its frontier.  On a mismatch the smallest
-    counterexample is built greedily, cell by cell in row-major order, with
+    is per question (the two machines and the alphabet), not per size: this
+    oracle alone keeps the last question's search, one per thread, so
+    consecutive calls on the same pair at other sizes or in other modes
+    reuse its pairs and steps, and a different question replaces it
+    (`equivalent` builds a search of its own per call and keeps none).
+    Where one plan reads a line reversed (B:g against R:g, g against r0
+    after g), the automaton with fewer states carries the relation of the
+    line's symbols read so far in reverse, one bitmask per state, and its
+    read of the line's `#` applies the relation to its frontier.  On a mismatch the smallest
+    counterexample is built greedily, cell by cell in row-major order, each
+    cell fixed to the first symbol for which a mismatch is still reachable:
     at most cells * (|alphabet| - 1) further searches that reuse every step
-    the searches before them computed.
+    the searches before them computed, giving the first mismatch
+    `enumerate_pictures` would yield.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
@@ -237,10 +240,12 @@ def _image_question(
     alphabet: Iterable[str],
     op: str,
 ) -> tuple[tuple[str, ...], DirectionMode]:
-    """A checked bounded question's symbols, and the mode a1 is read in at the image sizes."""
+    """A checked question's symbols, and the mode a1 is read in at the image sizes."""
     symbols = _symbols(alphabet)
     check_op(op)
-    image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
+    # R0 leaves d1 as it is; the per-size oracle asks with R0 on every call,
+    # where rebuilding the mode is a measurable share of a kept search's answer
+    image_mode = d1 if op == "R0" else DirectionMode(d1.kind, compose(d1.element, invert(op)))
     _check_question(a1, d1, symbols)
     _check_question(a2, d2, symbols)
     return symbols, image_mode
@@ -288,33 +293,6 @@ def bounded_equivalent(
     return None
 
 
-class _Stepper:
-    """One automaton's steps on frontiers and on line relations.
-
-    A frontier is a bitmask of states.  A relation `(F, M)` stands for a line
-    this automaton (side 0 of a pair search) reads in the opposite
-    orientation to the search: `F` is its frontier at the line's start and
-    `M[p]` the states reachable from `p` by reading the symbols seen so far
-    in reverse.  Reading the line's `#` applies `M` to `F` and returns a
-    frontier again.  Nothing is memoized here: a pair search steps each
-    pair once per read and keeps the result.
-    """
-
-    def __init__(self, a: HexAutomaton):
-        self.idx = a._indexed
-        self.identity = tuple(1 << p for p in range(len(self.idx.names)))
-
-    def value(self, frontier: int, symbol: str) -> int:
-        return _union(self.idx.value[symbol], frontier)
-
-    def relation(self, rel: tuple[int, tuple[int, ...]], symbol: str):
-        """M'[p] = union of M[q] over q in delta(p, symbol); on `#`, the frontier after it."""
-        start, rows = rel
-        if symbol == BORDER_SYMBOL:
-            return self.value(_union(rows, start), symbol)
-        return start, tuple(_union(rows, mask) for mask in self.idx.value[symbol])
-
-
 # The two reads of a pair search that are not a symbol: a cell left free
 # (any symbol of the alphabet), and entering a line side 0 carries.
 _ANY = None
@@ -328,18 +306,23 @@ class _PairSearch:
     every size and in every pair of modes: a pair's successors on a read
     depend on neither.  Side 0 is the automaton with fewer states (the
     first on a tie), and it carries the relation on a line the two plans
-    read in opposite orientations.  Each pair `(x0, x1)` the search meets
-    gets the next bit index, so a set of pairs is one int.  A read is a
-    symbol, `#`, `_ANY` (a free cell) or `_ENTER` (a carried line begins,
-    `x0` becoming the relation `(x0, identity)`).  A step of a set on a
-    read is the union of its pairs' successors; both are computed when
-    first needed and kept on the search, so every `mismatch` call of one
-    question, at any size and the greedy witness's included, reuses the
-    steps the calls before it made.
+    read in opposite orientations: `(F, M)`, with `F` its frontier at the
+    line's start and `M[p]` the states reachable from `p` by reading the
+    line's symbols so far in reverse, one bitmask per state.  A symbol w
+    updates it as M'[p] = union of M[q] over q in delta(p, w); the line's
+    `#` applies `M` to `F` and steps the frontier that gives.  Each pair
+    `(x0, x1)` the search meets gets the next bit index, so a set of pairs
+    is one int.  A read is a symbol, `#`, `_ANY` (a free cell) or `_ENTER`
+    (a carried line begins, `x0` becoming the relation `(x0, identity)`).
+    A step of a set on a read is the union of its pairs' successors; both
+    are computed when first needed and kept on the search, so every
+    `mismatch` call of one question, at any size and the greedy witness's
+    included, reuses the steps the calls before it made.
     """
 
     def __init__(self, a0: HexAutomaton, a1: HexAutomaton, symbols: tuple[str, ...]):
-        self.sides = (_Stepper(a0), _Stepper(a1))
+        s0, s1 = self.sides = (a0._indexed, a1._indexed)
+        self.identity = tuple(1 << p for p in range(len(s0.names)))
         self.symbols = symbols
         self.pairs: list[tuple] = []
         self.index: dict[tuple, int] = {}
@@ -347,8 +330,7 @@ class _PairSearch:
         self.refuting = self.dead = 0
         # read -> set of pairs -> its successor set; a one-pair set's entry is that pair's row
         self.steps: dict = {read: {} for read in (*symbols, BORDER_SYMBOL, _ANY, _ENTER)}
-        s0, s1 = self.sides
-        self.start = self._bit((s0.idx.start_mask, s1.idx.start_mask))
+        self.start = self._bit((s0.start_mask, s1.start_mask))
 
     def _bit(self, pair: tuple) -> int:
         """The one-pair set of `pair`, indexing the pair on first sight."""
@@ -359,7 +341,7 @@ class _PairSearch:
             x0, x1 = pair
             if type(x0) is int:  # a frontier pair, not a carried relation
                 s0, s1 = self.sides
-                if bool(x0 & s0.idx.finals_mask) != bool(x1 & s1.idx.finals_mask):
+                if bool(x0 & s0.finals_mask) != bool(x1 & s1.finals_mask):
                     self.refuting |= 1 << i
                 if not x0 | x1:
                     self.dead |= 1 << i
@@ -373,11 +355,16 @@ class _PairSearch:
             for sym in self.symbols:
                 out |= self._step(1 << i, sym)
             return out
-        s0, s1 = self.sides
         if read is _ENTER:
-            return self._bit(((x0, s0.identity), x1))
-        step0 = s0.value if type(x0) is int else s0.relation
-        return self._bit((step0(x0, read), s1.value(x1, read)))
+            return self._bit(((x0, self.identity), x1))
+        s0, s1 = self.sides
+        if type(x0) is not int:  # a carried relation (F, M)
+            start, rows = x0
+            if read != BORDER_SYMBOL:
+                rel = (start, tuple(_union(rows, mask) for mask in s0.value[read]))
+                return self._bit((rel, _union(s1.value[read], x1)))
+            x0 = _union(rows, start)
+        return self._bit((_union(s0.value[read], x0), _union(s1.value[read], x1)))
 
     def _step(self, pairs: int, read) -> int:
         """The set of successors of the set `pairs` on `read`."""
@@ -449,61 +436,36 @@ def exact_equivalent_for_size(
     size: HexSize,
     alphabet: Iterable[str] | None = None,
 ) -> HexPicture | None:
-    """Decide per-size language equality without enumerating all pictures.
+    """None iff a1 in d1 and a2 in d2 accept the same pictures of `size`.
 
-    Each run is a string acceptor over the fixed linearization shape
-    a^w1 # a^w2 # ... # a^wK #.  The set of reachable frontier pairs, one
-    int bitmask over the pairs indexed as the search meets them, is advanced
-    one read at a time.  Each pair's successors on a read, and each set's
-    step on a read, are computed once per question, and the two acceptance
-    verdicts are compared on the final set by one mask.  The search depends
-    only on the question (the two machines and the symbols), so this thread
-    keeps the last one: consecutive calls on the same pair, at any size and
-    in any modes, share it, and a call on a different question replaces
-    it.  A line the automata read in opposite orientations is handled by a
-    relation carried by the automaton with fewer states (a1 on a tie):
-    `M[p]`, the states reachable from `p` by reading the line's symbols so
-    far in reverse, is updated per symbol w as M'[p] = union of M[q] over q
-    in delta(p, w), and its read of the line's `#` applies `M` to its
-    frontier at the line's start.
-
-    The alphabet defaults to the symbols both automata share and must be
-    non-empty.  Each (automaton, mode) pair is checked as every oracle
-    checks it; the plans must also read the same lines in the same order at
-    this size, each line in either orientation (as B:g and R:g, or g and r0
-    after g, do).  Returns None when equal, else the smallest counterexample
-    by `picture_sort_key`.  It is built greedily: cells are fixed in
-    row-major order, each to the first symbol in sorted order for which a
-    pair search restricted to the cells fixed so far still reaches a
-    mismatch (the last symbol needs no search).  That costs at most
-    cells * (|alphabet| - 1) pair searches, each on the same search object,
-    so each reuses every step the searches before it computed, and gives the
-    first mismatch of `enumerate_pictures`.
+    Otherwise the smallest picture by `picture_sort_key` that exactly one
+    side accepts is returned.  The alphabet defaults to the symbols both
+    automata share and must be non-empty.  Each (automaton, mode) pair is
+    checked as every oracle checks it, and the two plans must read the same
+    lines in the same order at this size, each line in either orientation
+    (as B:g and R:g, or g and r0 after g, do); otherwise ValueError.  No
+    picture is enumerated.  This thread keeps the last question's search (the
+    two machines and the symbols), so consecutive calls on one question, at
+    any size and in any modes, share its steps; a different question
+    replaces it.
     """
-    symbols = _symbols(a1.alphabet & a2.alphabet if alphabet is None else alphabet)
-    _check_question(a1, d1, symbols)
-    _check_question(a2, d2, symbols)
+    if alphabet is None:
+        alphabet = a1.alphabet & a2.alphabet
+    symbols, _ = _image_question(a1, d1, a2, d2, alphabet, "R0")
     swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
     lines = _lines(d1, d2, size, swap)
     if lines is None:
         raise ValueError("exact per-size comparison requires plans reading the same lines "
                          f"in the same order; {d1.code} and {d2.code} differ at {size}")
-    return _searched_difference(a1, a2, symbols, size, lines, swap)
-
-
-def _searched_difference(
-    a1: HexAutomaton,
-    a2: HexAutomaton,
-    symbols: tuple[str, ...],
-    size: HexSize,
-    lines: list,
-    swap: bool,
-) -> HexPicture | None:
-    """`exact_equivalent_for_size` on a checked question, given `_lines(d1, d2, size, swap)`."""
     key = (a2, a1, symbols) if swap else (a1, a2, symbols)
     if _kept.key != key:
         _kept.key, _kept.search = key, _PairSearch(*key)
-    search = _kept.search
+    return _searched_difference(_kept.search, size, lines)
+
+
+def _searched_difference(search: _PairSearch, size: HexSize, lines: list) -> HexPicture | None:
+    """The smallest picture of `lines` at `size` on which `search`'s two machines disagree."""
+    symbols = search.symbols
     fixed: dict[Cell, str] = {}
     if not search.mismatch(lines, fixed):
         return None
@@ -538,11 +500,12 @@ def equivalent(
     `picture_sort_key` in the symmetric difference.  Image sizes are walked
     in `sorted_sizes` order and the walk stops at the first size with a
     difference.  At a size where the two plans read the same lines in the
-    same order, each line either way, `exact_equivalent_for_size`'s pair
-    search decides it, on the lines computed for the alignment test; at any
-    other size its pictures are enumerated.  The pictures those other sizes
-    hold are counted first, and past `_ENUMERATION_BUDGET` the question is
-    refused with a ValueError before any work.
+    same order, each line either way, a pair search decides it, on the
+    lines computed for the alignment test; one search serves every such
+    size of the call and is dropped when it returns.  At any other size its
+    pictures are enumerated.  The pictures those other sizes hold are
+    counted first, and past `_ENUMERATION_BUDGET` the question is refused
+    with a ValueError before any work.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
     swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
@@ -553,11 +516,12 @@ def equivalent(
     if pictures > _ENUMERATION_BUDGET:
         raise ValueError(f"the question needs {pictures} pictures enumerated where the two plans "
                          f"do not align, over the budget of {_ENUMERATION_BUDGET}")
+    search = _PairSearch(a2, a1, symbols) if swap else _PairSearch(a1, a2, symbols)
     for size, lines in zip(sizes, plans):
         if lines is None:
             witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
         else:
-            witness = _searched_difference(a1, a2, symbols, size, lines, swap)
+            witness = _searched_difference(search, size, lines)
         if witness is not None:
             return witness
     return None

@@ -22,6 +22,8 @@ with the group's multiplication table entry at row g, column h.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .hexgrid import Cell, HexPicture, HexSize, cells, picture_from_cells
 
 OP_NAMES: tuple[str, ...] = (
@@ -166,12 +168,5 @@ def cell_map(op: str, size: HexSize) -> dict[Cell, Cell]:
 def apply_op(op: str, picture: HexPicture) -> HexPicture:
     """The geometrically transformed picture (pure cell relabeling)."""
     mapping = cell_map(op, picture.size)
-    image = {mapping[cell]: picture.get(cell) for cell in picture.cells()}
+    image = {mapping[cell]: sym for cell, sym in zip(cells(picture.size), chain(*picture.rows))}
     return picture_from_cells(transform_size(op, picture.size), image)
-
-
-def evaluate_word(word: OpWord, picture: HexPicture) -> HexPicture:
-    """Apply a word over {R1, r1}, rightmost letter first."""
-    for op in reversed(word):
-        picture = apply_op(op, picture)
-    return picture

@@ -41,20 +41,6 @@ from .automata import HexAutomaton, automaton
 from .scan import BOUSTROPHEDON, RETURNING
 
 
-def expected_output_states(construction: str, a: HexAutomaton) -> int:
-    """State count each construction produces for the input automaton."""
-    n = len(a.states)
-    if construction == "hbfa-to-hrfa":
-        return 1 + len(a.forward_states) + len(a.backward_states) ** 3
-    if construction == "mirror-within-lines":
-        return n**3 + 1
-    if construction == "mirror-line-order":
-        return n**3 + 3
-    if construction == "point-reflection":
-        return n + 2
-    raise ValueError(f"unknown construction {construction!r}")
-
-
 def _reverse_lines(a: HexAutomaton, direct, reversed_) -> HexAutomaton:
     """Returning automaton reading each line as `a` does, some backwards.
 

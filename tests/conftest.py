@@ -6,13 +6,40 @@ import random
 
 import pytest
 
-from hexscan import BOUSTROPHEDON, RETURNING, HexSize, automaton, transform_size
-from hexscan.hexgrid import Cell, cells, picture_from_cells
+from hexscan import BOUSTROPHEDON, RETURNING, HexSize, apply_op, automaton, transform_size
+from hexscan.hexgrid import Cell, cells, offset, picture_from_cells
 
 
 def marker_picture(size: HexSize):
     """Picture with a distinct symbol in every cell (detects any relabeling)."""
     return picture_from_cells(size, {c: f"c{i}" for i, c in enumerate(cells(size))})
+
+
+def symbol_at(picture, cell: Cell) -> str:
+    """The picture's symbol at `cell`: entry q - offset(r) of row r."""
+    r, q = cell
+    return picture.rows[r][q - offset(picture.size, r)]
+
+
+def evaluate_word(word, picture):
+    """Apply a word over the op names, rightmost letter first."""
+    for op in reversed(word):
+        picture = apply_op(op, picture)
+    return picture
+
+
+def is_deterministic(a) -> bool:
+    """True iff no state has two value rules on one symbol, nor two border rules."""
+    value_keys = [(p, sym) for p, sym, _ in a.value_rules]
+    border_keys = [p for p, _ in a.border_rules]
+    return len(set(value_keys)) == len(value_keys) and len(set(border_keys)) == len(border_keys)
+
+
+def expected_output_states(construction: str, a) -> int:
+    """The state count a construction, by its CLI name, builds for `a` (README's formulas)."""
+    n, f, b = len(a.states), len(a.forward_states), len(a.backward_states)
+    return {"hbfa-to-hrfa": 1 + f + b**3, "mirror-within-lines": n**3 + 1,
+            "mirror-line-order": n**3 + 3, "point-reflection": n + 2}[construction]
 
 
 def hexagon_cells_oracle(l: int, m: int, n: int) -> set[Cell]:

@@ -23,9 +23,7 @@ from hexscan import (
     canonical_mode,
     cell_count,
     compose,
-    evaluate_word,
     invert,
-    is_deterministic,
     make_uniform,
     modes_for_kind,
     normal_form,
@@ -47,7 +45,6 @@ from hexscan.langtools import (
 )
 from hexscan.symmetry import OP_NAMES, is_rotation
 from hexscan.transforms import (
-    expected_output_states,
     family_normalizer,
     hbfa_to_hrfa,
     mirror_line_order,
@@ -55,7 +52,8 @@ from hexscan.transforms import (
 )
 from hexscan.automata import determinize, serialize_automaton
 
-from conftest import m_all, m_none, marker_picture, random_ghbfa, random_ghrfa
+from conftest import (evaluate_word, expected_output_states, is_deterministic, m_all, m_none,
+                      marker_picture, random_ghbfa, random_ghrfa)
 
 AB = ("a", "b")
 BOUND2 = SizeBound.max_side(2)

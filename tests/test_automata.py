@@ -15,7 +15,6 @@ from hexscan import (
     canonical_mode,
     cell_count,
     determinize,
-    is_deterministic,
     make_uniform,
     modes_for_kind,
     parse_automaton,
@@ -26,10 +25,11 @@ from hexscan import (
 )
 from hexscan.automata import InvalidAutomatonError, _union
 from hexscan.hexgrid import Cell, FormatError, cells as size_cells, picture_from_cells
-from hexscan.langtools import SizeBound, bounded_equivalent, exact_equivalent_for_size
+from hexscan.langtools import SizeBound, bounded_equivalent, equivalent, exact_equivalent_for_size
 from hexscan.transforms import hbfa_to_hrfa
 
-from conftest import m_all, m_none, m_parity, m_plus_named, random_ghbfa, random_ghrfa
+from conftest import (is_deterministic, m_all, m_none, m_parity, m_plus_named, random_ghbfa,
+                      random_ghrfa, symbol_at)
 
 
 def test_validate_ok():
@@ -109,35 +109,6 @@ def test_returning_rules_untyped():
     assert validate(a) == []
 
 
-def test_is_deterministic():
-    assert is_deterministic(m_all())
-    nd = automaton(BOUSTROPHEDON, ["f", "g"], ["b"], ["a"],
-                   [("f", "a", "f"), ("f", "a", "g")], [("f", "b"), ("b", "f")],
-                   "f", ["f"])
-    assert not is_deterministic(nd)
-    empty = automaton(BOUSTROPHEDON, ["f"], ["b"], ["a"], [], [], "f", [])
-    assert is_deterministic(empty)
-    # duplicate border targets also break determinism
-    ndb = automaton(BOUSTROPHEDON, ["f"], ["b", "c"], ["a"],
-                    [("f", "a", "f")], [("f", "b"), ("f", "c")], "f", ["f"])
-    assert not is_deterministic(ndb)
-    # against the rule-level definition, on machines of both kinds and their
-    # subset constructions
-    rng = random.Random(1414)
-    verdicts = {True: 0, False: 0}
-    for i in range(120):
-        alphabet = ("a", "b") if i % 3 else ("ab", "c", "d")
-        a = (random_ghbfa if i % 2 else random_ghrfa)(rng, 3, alphabet)
-        for m in (a, determinize(a)):
-            value_keys = [(p, sym) for p, sym, _ in m.value_rules]
-            border_keys = [p for p, _ in m.border_rules]
-            want = (len(set(value_keys)) == len(value_keys)
-                    and len(set(border_keys)) == len(border_keys))
-            assert is_deterministic(m) is want, serialize_automaton(m)
-            verdicts[want] += 1
-    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
-
-
 def test_run_m_all_and_m_none():
     p = make_uniform(HexSize(2, 2, 2), "a")
     assert run(m_all(), p) is True
@@ -191,7 +162,11 @@ def test_indexed_automaton_is_collected_with_its_last_reference():
         assert exact_equivalent_for_size(a, cb, a, cb, size) is None
         assert exact_equivalent_for_size(m_all(), cb, m_all(), cb, size) is None
 
-    for use in (ask_run, ask_exact):
+    def ask_equivalent(a):
+        # one question and no other: `equivalent` keeps no search once it returns
+        assert equivalent(a, cb, a, cb, ("a", "b"), SizeBound.max_side(2)) is None
+
+    for use in (ask_run, ask_exact, ask_equivalent):
         a = m_parity(alphabet=("a", "b"))
         use(a)
         alive = weakref.ref(a)
@@ -240,13 +215,11 @@ def test_returning_runs_never_flip():
 def test_boustrophedon_consumes_odd_lines_reversed():
     # mark the cells of the middle line; the backward pass must read them
     # bottom to top
-    p = make_uniform(HexSize(2, 2, 2), "a")
-    plan = scan_lines(p.size, canonical_mode(BOUSTROPHEDON))
+    size = HexSize(2, 2, 2)
+    plan = scan_lines(size, canonical_mode(BOUSTROPHEDON))
     mid = plan.lines[1]
-    symbols = {}
-    for i, c in enumerate(mid):
-        symbols[c] = f"s{i}"
-        p = p.set(c, f"s{i}")
+    symbols = {c: f"s{i}" for i, c in enumerate(mid)}
+    p = picture_from_cells(size, {c: symbols.get(c, "a") for c in size_cells(size)})
     a = m_all(alphabet=("a", "s0", "s1", "s2"))
     _, trace = run(a, p, trace=True)
     read = [s.symbol for s in trace.steps if s.cell in set(mid)]
@@ -261,7 +234,8 @@ def test_first_cell_sensitive_machine_varies_with_mode():
          ("b1", "a", "b1"), ("b1", "b", "b1")],
         [("f1", "b1"), ("b1", "f1")], "f0", ["f1", "b1"],
     )
-    p = make_uniform(HexSize(2, 2, 2), "a").set(Cell(1, -1), "b")
+    size = HexSize(2, 2, 2)
+    p = picture_from_cells(size, {c: "b" if c == Cell(1, -1) else "a" for c in size_cells(size)})
     results = {mode.code: run(a, p, mode) for mode in modes_for_kind(BOUSTROPHEDON)}
     assert results["B:R0"] is True
     assert any(results.values()) and not all(results.values())
@@ -276,7 +250,7 @@ def _reference_run(a, picture, mode):
     lines = scan_lines(picture.size, mode).reading
     for i, line in enumerate(lines):
         for cell in line:
-            frontier = _union(idx.value[picture.get(cell)], frontier)
+            frontier = _union(idx.value[symbol_at(picture, cell)], frontier)
         frontier = _union(idx.value[BORDER_SYMBOL], frontier)
         emptied |= not frontier and i < len(lines) - 1
     return bool(frontier & idx.finals_mask), emptied

@@ -26,8 +26,8 @@ from hexscan.hexgrid import Cell, cells
 from hexscan.langtools import SizeBound, exact_equivalent_for_size
 
 from conftest import (
-    m_all, m_at_most, m_none, m_parity, m_pipe_named, m_plus_named, marker_picture,
-    random_ghbfa,
+    expected_output_states, is_deterministic, m_all, m_at_most, m_none, m_parity, m_pipe_named,
+    m_plus_named, marker_picture, random_ghbfa, symbol_at,
 )
 
 COMMANDS = "render transform run determinize to-rfa mirror enum equiv group".split()
@@ -133,7 +133,8 @@ def test_run_trace_snapshots_erase_the_cells_consumed_so_far(capsys, tmp_path, k
     pic = tmp_path / "m.hxp"
     pic.write_text(serialize_picture(picture))
     aut = tmp_path / "a.hxa"
-    aut.write_text(serialize_automaton(m_all(kind, tuple(sorted(picture.symbols())))))
+    symbols = tuple(sorted({sym for row in picture.rows for sym in row}))
+    aut.write_text(serialize_automaton(m_all(kind, symbols)))
     code, out, _ = run_cli(capsys, "run", "--automaton", str(aut),
                            "--direction", direction, "--trace", str(pic))
     assert code == 0
@@ -141,7 +142,7 @@ def test_run_trace_snapshots_erase_the_cells_consumed_so_far(capsys, tmp_path, k
     for line in out.splitlines()[:-1]:
         if " # -> " in line:
             expected = "/".join(
-                " ".join("_" if c in consumed else picture.get(c)
+                " ".join("_" if c in consumed else symbol_at(picture, c)
                          for c in cells(size) if c.r == r)
                 for r in range(size.row_count)
             )
@@ -150,7 +151,7 @@ def test_run_trace_snapshots_erase_the_cells_consumed_so_far(capsys, tmp_path, k
         else:
             r, q, symbol = re.search(r"\((-?\d+),(-?\d+)\)=(\S+) ", line).groups()
             cell = Cell(int(r), int(q))
-            assert cell not in consumed and picture.get(cell) == symbol
+            assert cell not in consumed and symbol_at(picture, cell) == symbol
             consumed.add(cell)
     assert len(consumed) == cell_count(size)
     assert borders == len(scan_lines(size, parse_direction(direction)).lines)
@@ -242,8 +243,6 @@ def test_determinize_command(capsys, tmp_path, rng):
     code, out, _ = run_cli(capsys, "determinize", "--automaton", str(src))
     assert code == 0
     parsed, _ = parse_automaton(out)
-    from hexscan import is_deterministic
-
     assert is_deterministic(parsed)
 
 
@@ -277,7 +276,7 @@ def test_to_rfa_builds_pipe_named_states(capsys, tmp_path):
 
 
 def test_mirror_command(capsys, tmp_path):
-    from hexscan import RETURNING, automaton, expected_output_states
+    from hexscan import RETURNING, automaton
 
     one = automaton(RETURNING, ["q"], [], ["a"], [("q", "a", "q")],
                     [("q", "q")], "q", ["q"])

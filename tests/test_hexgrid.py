@@ -19,12 +19,11 @@ from hexscan.hexgrid import (
     Cell,
     FormatError,
     cells,
-    is_valid_cell,
     offset,
     picture_from_cells,
 )
 
-from conftest import hexagon_cells_oracle, marker_picture
+from conftest import hexagon_cells_oracle, marker_picture, symbol_at
 
 sides = st.integers(min_value=1, max_value=5)
 sizes = st.builds(HexSize, sides, sides, sides)
@@ -81,32 +80,6 @@ def test_make_uniform_and_reserved_symbols():
             make_uniform(HexSize(2, 2, 2), not_a_token)
 
 
-def test_get_set_roundtrip():
-    p = make_uniform(HexSize(2, 2, 2), "a")
-    target = Cell(1, 0)
-    q = p.set(target, "b")
-    assert q.get(target) == "b"
-    assert q.set(target, "a") == p
-    assert p.get(target) == "a"
-    for c in cells(p.size):
-        if c != target:
-            assert q.get(c) == "a"
-    with pytest.raises(IndexError):
-        p.get(Cell(5, 5))
-    with pytest.raises(IndexError):
-        p.set(Cell(5, 5), "a")
-    with pytest.raises(ReservedSymbolError):
-        p.set(target, "#")
-
-
-def test_validity_predicate_matches_enumeration():
-    size = HexSize(2, 3, 2)
-    inside = set(cells(size))
-    for r in range(-2, 7):
-        for q in range(-5, 7):
-            assert is_valid_cell(size, Cell(r, q)) == (Cell(r, q) in inside)
-
-
 def _bordered_symbol(p, cell):
     """The bordered picture's symbol at `cell`, one cell at a time.
 
@@ -117,7 +90,7 @@ def _bordered_symbol(p, cell):
     r, q = cell
     on_ring = (r == 0 or r == s.l + s.n or q == -s.l or q == s.m
                or q + r == 0 or q + r == s.m + s.n)
-    return "#" if on_ring else p.get(Cell(r - 1, q))
+    return "#" if on_ring else symbol_at(p, Cell(r - 1, q))
 
 
 def test_bordered_size_and_ring():

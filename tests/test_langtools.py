@@ -31,7 +31,7 @@ from hexscan.hexgrid import cells, picture_from_cells
 from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
 from conftest import (m_all, m_at_most, m_invalid, m_none, m_parity, m_some, random_ghbfa,
-                      random_ghrfa)
+                      random_ghrfa, symbol_at)
 
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
@@ -258,7 +258,8 @@ def test_exact_oracle_witness_on_lines_read_in_opposite_orientations():
         for other in (small, large):
             for a1, d1, a2, d2 in ((first_read, b, other, r), (other, r, first_read, b)):
                 w = exact_equivalent_for_size(a1, d1, a2, d2, size)
-                assert w is not None and sorted(w.symbols()) == ["a", "b"]
+                assert w is not None
+                assert sorted({sym for row in w.rows for sym in row}) == ["a", "b"]
                 assert w == bounded_equivalent(a1, d1, a2, d2, AB, single)
 
 
@@ -267,7 +268,7 @@ def _reversed_lines(w, d1, d2):
     partner = {}
     for l1, l2 in zip(scan_lines(w.size, d1).reading, scan_lines(w.size, d2).reading):
         partner.update(zip(l1, l2))
-    return picture_from_cells(w.size, {c: w.get(partner[c]) for c in cells(w.size)})
+    return picture_from_cells(w.size, {c: symbol_at(w, partner[c]) for c in cells(w.size)})
 
 
 def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
@@ -379,7 +380,7 @@ def _set_walk(search, lines, fixed):
     """
     from hexscan.automata import _union
 
-    idx0, idx1 = (side.idx for side in search.sides)
+    idx0, idx1 = search.sides
     identity = tuple(1 << p for p in range(len(idx0.names)))
 
     def step0(x0, sym):
@@ -542,6 +543,20 @@ def test_two_threads_asking_different_questions_get_a_single_threads_answers(mon
     assert langtools._kept.key == kept
 
 
+def test_equivalent_leaves_the_kept_search_alone():
+    # only the per-size oracle keeps a search: `equivalent` answers from one
+    # of its own, so this thread's slot holds the same question after it
+    from hexscan import langtools
+    from hexscan.langtools import equivalent
+
+    size = HexSize(2, 2, 2)
+    assert exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size) == make_uniform(size, "b")
+    kept = langtools._kept.key
+    for a2 in (m_some("a"), m_all()):
+        equivalent(m_all(), CB, a2, CB, AB, SizeBound.max_side(2))
+        assert langtools._kept.key == kept
+
+
 def test_exact_oracle_agrees_with_enumeration_on_multi_character_symbols():
     alphabet = ("ab", "c1", "xyz")
     rng = random.Random(1516)
@@ -671,7 +686,7 @@ def test_partitioned_verification_merges_by_union(rng):
         part = {
             p
             for p in enumerate_pictures(AB, bound)
-            if p.get(scan_lines(p.size, CB).lines[0][0]) == lead and run(a, p, CB)
+            if symbol_at(p, scan_lines(p.size, CB).lines[0][0]) == lead and run(a, p, CB)
         }
         merged |= part
     assert merged == whole

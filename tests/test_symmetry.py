@@ -7,7 +7,6 @@ from hexscan import (
     HexSize,
     apply_op,
     compose,
-    evaluate_word,
     invert,
     make_uniform,
     normal_form,
@@ -16,7 +15,7 @@ from hexscan import (
 from hexscan.symmetry import OP_NAMES, cell_map, check_op
 from hexscan.hexgrid import Cell, cells
 
-from conftest import cube_cell_map, marker_picture
+from conftest import cube_cell_map, evaluate_word, marker_picture
 
 # full multiplication table, written out independently of compose();
 # entry TABLE[g][h] is "h first, then g"
