@@ -14,32 +14,19 @@ kind and alphabet.  There are two oracles:
     it builds one picture, the witness (`accepted_set` builds every member,
     for callers that want pictures);
   * the exact per-size oracle (`exact_equivalent_for_size`) enumerates no
-    pictures.  For two modes whose plans read the same lines in the same
-    order, it advances the set of reachable pairs of frontier sets one read
-    at a time.  Each pair gets a bit index when the search first meets it,
-    so a set of pairs is one int bitmask; a pair's successors on a read and
-    a set's step on a read are each computed once per question.  The search
-    is per question (the two machines and the alphabet), not per size: this
-    oracle alone keeps the last question's search, one per thread, so
-    consecutive calls on the same pair at other sizes or in other modes
-    reuse its pairs and steps, and a different question replaces it
-    (`equivalent` builds a search of its own per call and keeps none).
-    Where one plan reads a line reversed (B:g against R:g, g against r0
-    after g), the automaton with fewer states carries the relation of the
-    line's symbols read so far in reverse, one bitmask per state, and its
-    read of the line's `#` applies the relation to its frontier.  On a mismatch the smallest
-    counterexample is built greedily, cell by cell in row-major order, each
-    cell fixed to the first symbol for which a mismatch is still reachable:
-    at most cells * (|alphabet| - 1) further searches that reuse every step
-    the searches before them computed, giving the first mismatch
-    `enumerate_pictures` would yield.
+    pictures.  For two modes that align (`scan._carried_lines`), a pair
+    search (`_PairSearch`) advances the set of reachable pairs of frontier
+    sets one read at a time, and a counterexample is built greedily, cell by
+    cell in row-major order, each cell fixed to the first symbol for which a
+    mismatch is still reachable.  This oracle alone keeps the last
+    question's search, one per thread, for its next call to reuse.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
 it.  `equivalent`, the entry point `hexscan equiv` calls, answers
-`bounded_equivalent`'s question by picking between them per size: the exact
-oracle where the two plans align, enumeration of that one size elsewhere,
-within a fixed budget of enumerated pictures.  `bounded_equivalent` stays
+`bounded_equivalent`'s question from one oracle per question, chosen by the
+two modes: one pair search over every size where they align, enumeration
+within a fixed budget of pictures elsewhere.  `bounded_equivalent` stays
 pure enumeration, the reference the other two are tested against.
 """
 
@@ -62,7 +49,7 @@ from .hexgrid import (
 )
 from .symmetry import apply_op, check_op, compose, invert, transform_size
 from .automata import HexAutomaton, _check_question, _union
-from .scan import DirectionMode, scan_lines
+from .scan import DirectionMode, _carried_lines, scan_lines
 
 
 @dataclass(frozen=True)
@@ -286,8 +273,14 @@ def bounded_equivalent(
     against.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
-    for size in bound.image(op).sorted_sizes():
-        witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
+    return _enumerated_walk(a1, image_mode, a2, d2, bound.image(op).sorted_sizes(), symbols)
+
+
+def _enumerated_walk(a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton, d2: DirectionMode,
+                     sizes: list[HexSize], symbols: tuple[str, ...]) -> HexPicture | None:
+    """The witness at the first of `sizes` with an `_enumerated_difference`, else None."""
+    for size in sizes:
+        witness = _enumerated_difference(a1, d1, a2, d2, size, symbols)
         if witness is not None:
             return witness
     return None
@@ -401,22 +394,17 @@ class _PairSearch:
 def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> list | None:
     """A pair search's lines at `size`, each as (cells in reading order, carrier).
 
-    The carrier is 0 where side 0 carries a relation, else None.  Side 0
-    reads in `d2`'s plan when `swap`, else in `d1`'s, and a carried line is
-    read in side 1's order.  None where the two plans do not read the same
-    lines in the same order, each line either way: no pair search decides
-    that size.
+    The carrier is 0 where side 0 carries a relation, else None.  Every
+    line is read in side 1's plan (`d1`'s when `swap`, else `d2`'s), and a
+    one-cell line is never carried.  None where the two modes do not align
+    (`scan._carried_lines`): no pair search decides them.
     """
-    lines = []
-    for l1, l2 in itertools.zip_longest(scan_lines(size, d1).reading, scan_lines(size, d2).reading,
-                                        fillvalue=()):
-        if l1 == l2:
-            lines.append((l1, None))
-        elif l1 == l2[::-1]:
-            lines.append((l1 if swap else l2, 0))
-        else:
-            return None
-    return lines
+    carried = _carried_lines(d1, d2)
+    if carried is None:
+        return None
+    reading = scan_lines(size, d1 if swap else d2).reading
+    return [(line, 0 if carried[i % 2] and len(line) > 1 else None)
+            for i, line in enumerate(reading)]
 
 
 class _Kept(threading.local):
@@ -441,12 +429,12 @@ def exact_equivalent_for_size(
     Otherwise the smallest picture by `picture_sort_key` that exactly one
     side accepts is returned.  The alphabet defaults to the symbols both
     automata share and must be non-empty.  Each (automaton, mode) pair is
-    checked as every oracle checks it, and the two plans must read the same
-    lines in the same order at this size, each line in either orientation
-    (as B:g and R:g, or g and r0 after g, do); otherwise ValueError.  No
-    picture is enumerated.  This thread keeps the last question's search (the
-    two machines and the symbols), so consecutive calls on one question, at
-    any size and in any modes, share its steps; a different question
+    checked as every oracle checks it, and the two modes must align
+    (`scan._carried_lines`), as B:g and R:g, or g and r0 after g, do;
+    otherwise ValueError, even at a size with a side of 1 where the two
+    plans coincide.  No picture is enumerated.  This thread keeps the last
+    question's search (the two machines and the symbols) for consecutive
+    calls on it, at any size and in any modes; a different question
     replaces it.
     """
     if alphabet is None:
@@ -479,8 +467,7 @@ def _searched_difference(search: _PairSearch, size: HexSize, lines: list) -> Hex
     return picture_from_cells(size, fixed)
 
 
-# The most pictures `equivalent` enumerates, summed over the sizes where the
-# two plans do not align; a larger question is refused before any work.
+# The most pictures `equivalent` enumerates; a larger question is refused at once.
 _ENUMERATION_BUDGET = 2 ** 20
 
 
@@ -493,35 +480,29 @@ def equivalent(
     bound: SizeBound,
     op: str = "R0",
 ) -> HexPicture | None:
-    """`bounded_equivalent`'s answer, from the exact oracle wherever it applies.
+    """`bounded_equivalent`'s answer, from one oracle chosen by the two modes.
 
-    Same signature and contract: None iff a2's accepted set equals the
-    op-image of a1's within the bound, else the smallest picture by
-    `picture_sort_key` in the symmetric difference.  Image sizes are walked
-    in `sorted_sizes` order and the walk stops at the first size with a
-    difference.  At a size where the two plans read the same lines in the
-    same order, each line either way, a pair search decides it, on the
-    lines computed for the alignment test; one search serves every such
-    size of the call and is dropped when it returns.  At any other size its
-    pictures are enumerated.  The pictures those other sizes hold are
-    counted first, and past `_ENUMERATION_BUDGET` the question is refused
-    with a ValueError before any work.
+    Same signature, contract and walk of the image sizes as
+    `bounded_equivalent`.  Where the image mode and d2 align
+    (`scan._carried_lines`), one pair search decides every size, on lines
+    built as the walk reaches each size.  Otherwise its enumeration walk
+    answers, unless the sizes' pictures, counted from cell counts alone,
+    exceed `_ENUMERATION_BUDGET`: then the question is refused with a
+    ValueError before any plan is built.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
-    swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
     sizes = bound.image(op).sorted_sizes()
-    plans = [_lines(image_mode, d2, size, swap) for size in sizes]
-    pictures = sum(len(symbols) ** cell_count(size)
-                   for size, lines in zip(sizes, plans) if lines is None)
-    if pictures > _ENUMERATION_BUDGET:
-        raise ValueError(f"the question needs {pictures} pictures enumerated where the two plans "
-                         f"do not align, over the budget of {_ENUMERATION_BUDGET}")
+    if _carried_lines(image_mode, d2) is None:
+        # two symbols on 21 cells are over the budget: no larger power is computed
+        counts = (len(symbols) ** min(cell_count(size), 21) for size in sizes)
+        if any(total > _ENUMERATION_BUDGET for total in itertools.accumulate(counts)):
+            raise ValueError(f"the question needs more than {_ENUMERATION_BUDGET} pictures "
+                             "enumerated where the two plans do not align")
+        return _enumerated_walk(a1, image_mode, a2, d2, sizes, symbols)
+    swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
     search = _PairSearch(a2, a1, symbols) if swap else _PairSearch(a1, a2, symbols)
-    for size, lines in zip(sizes, plans):
-        if lines is None:
-            witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
-        else:
-            witness = _searched_difference(search, size, lines)
+    for size in sizes:
+        witness = _searched_difference(search, size, _lines(image_mode, d2, size, swap))
         if witness is not None:
             return witness
     return None

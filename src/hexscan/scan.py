@@ -9,9 +9,9 @@ symbols, in the same order, as scanning the g-image canonically.
 
 Mode codes are `B:<op>` (boustrophedon) and `R:<op>` (returning), 24 total.
 The two kinds share plan geometry, down to one `lines` tuple per (size, op),
-and differ only in reading orientation, which `scan_lines` alone decides: a
-boustrophedon mode reads every odd line backwards, a returning mode reads
-every line forwards.
+and differ only in reading orientation, which `_ODD_LINES_BACKWARD` alone
+states: a boustrophedon mode reads every odd line backwards, a returning
+mode every line forwards.  Both `scan_lines` and `_carried_lines` read it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .hexgrid import Cell, HexSize, cell_count, row_widths
-from .symmetry import OP_NAMES, affine, check_op, invert, transform_size
+from .symmetry import OP_NAMES, affine, check_op, compose, invert, transform_size
 
 BOUSTROPHEDON = "boustrophedon"
 RETURNING = "returning"
@@ -118,6 +118,8 @@ def _indices(count: int) -> tuple[int, ...]:
 _cell = partial(tuple.__new__, Cell)
 _backwards = itemgetter(slice(None, None, -1))
 _RETURNING_MODES = {mode.element: mode for mode in modes_for_kind(RETURNING)}
+# Whether a kind reads every odd line backwards; every other line is read forwards
+_ODD_LINES_BACKWARD = {BOUSTROPHEDON: True, RETURNING: False}
 
 
 @lru_cache(maxsize=4096)
@@ -129,11 +131,11 @@ def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
     line's image advances by that map's linear part, so it is built from
     two ranges.  The canonical mode takes the same path with the identity.
     Both kinds share one `lines`: a boustrophedon plan takes it from the
-    returning plan of the same element.  The reading orientation of every
-    line is decided here and nowhere else.
+    returning plan of the same element.  Each line's reading orientation
+    follows `_ODD_LINES_BACKWARD`.
     """
     g = mode.element
-    if mode.kind == BOUSTROPHEDON:
+    if _ODD_LINES_BACKWARD[mode.kind]:
         lines = scan_lines(size, _RETURNING_MODES[g]).lines
         k = len(lines)
         reading = list(lines)
@@ -155,3 +157,19 @@ def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
         built.append(tuple(map(_cell, zip(rows, cols))))
     lines = tuple(built)
     return ScanPlan(size, lines, (False,) * len(lines), lines)
+
+
+@lru_cache(maxsize=None)  # one entry per pair of the 24 modes at most
+def _carried_lines(d1: DirectionMode, d2: DirectionMode) -> tuple[bool, bool] | None:
+    """Whether `d1` and `d2` read the even lines, and the odd ones, in opposite orientations.
+
+    Two modes align, reading the same lines in the same order at every size,
+    exactly when d2's element after d1's inverse is R0 or r0, which reverses
+    every line in place; None where they do not.  r0 flips both parities,
+    and a kind that reads odd lines backwards flips the odd ones.
+    """
+    relative = compose(d2.element, invert(d1.element))
+    if relative not in ("R0", "r0"):
+        return None
+    flipped = relative == "r0"
+    return flipped, flipped != (_ODD_LINES_BACKWARD[d1.kind] != _ODD_LINES_BACKWARD[d2.kind])

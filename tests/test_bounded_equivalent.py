@@ -102,8 +102,15 @@ def test_oracle_matches_its_definition(monkeypatch):
                         counted("exact", langtools._searched_difference))
     monkeypatch.setattr(langtools, "_enumerated_difference",
                         counted("enumerated", langtools._enumerated_difference))
+
+    def paths(question):
+        """`equivalent`'s answer, and whether it took the exact path, the enumeration path."""
+        before = dict(calls)
+        got = equivalent(*question)
+        return got, calls["exact"] > before["exact"], calls["enumerated"] > before["enumerated"]
+
     rng = random.Random(8008)
-    seen_ops, seen_modes, unequal = set(), set(), 0
+    seen_ops, seen_modes, unequal, unequal_variants = set(), set(), 0, 0
     witness_sizes = set()
     # questions on which `equivalent` took the exact path, the enumeration path
     took_exact = took_enumeration = 0
@@ -120,20 +127,37 @@ def test_oracle_matches_its_definition(monkeypatch):
             assert got == min(diff, key=text_order), i
             unequal += 1
             witness_sizes.add(got.size)
-        before = dict(calls)
-        got = equivalent(*question)
+        got, exact, enumerated = paths(question)
         assert got == want, (i, d1.code, d2.code, op)
         if got is not None:
             assert serialize_picture(got) == serialize_picture(want)
-        took_exact += calls["exact"] > before["exact"]
-        took_enumeration += calls["enumerated"] > before["enumerated"]
+        # the two modes alone choose the path
+        image = compose(d1.element, invert(op))
+        aligned = compose(d2.element, invert(image)) in ("R0", "r0")
+        assert (exact, enumerated) == (aligned, not aligned), (i, d1.code, d2.code, op)
+        took_exact += exact
+        took_enumeration += enumerated
+        # the same question with d2 aligned to the image mode, in the same
+        # order or with every line reversed: the exact path alone answers it
+        aligned_d2 = DirectionMode(d2.kind, image if i % 2 == 0 else compose("r0", image))
+        variant = (a1, d1, a2, aligned_d2, alphabet, bound, op)
+        diff = difference(*variant)
+        want = min(diff, key=picture_sort_key) if diff else None
+        got, exact, enumerated = paths(variant)
+        assert got == want, (i, d1.code, aligned_d2.code, op)
+        if got is not None:
+            assert serialize_picture(got) == serialize_picture(want)
+            unequal_variants += 1
+        assert (exact, enumerated) == (True, False), i
+        took_exact += exact
         seen_ops.add(op)
         seen_modes |= {d1, d2}
     assert seen_ops == set(OP_NAMES) and seen_modes == set(ALL_MODES)
-    assert 200 < unequal < 1000
+    assert 200 < unequal < 1000 and 100 < unequal_variants < 1000, (unequal, unequal_variants)
     # witnesses come from every 3-cell size of the tied bound
     assert {HexSize(1, 1, 3), HexSize(1, 3, 1), HexSize(3, 1, 1)} <= witness_sizes
-    # both paths serve many questions (1,054 and 617 of the 1,200)
+    # both paths serve many questions: 176 of the 1,200 and their 1,200
+    # variants, and 1,024 of the 1,200
     assert took_exact > 1000 and took_enumeration > 500, (took_exact, took_enumeration)
 
 
@@ -150,25 +174,15 @@ def test_equal_question_builds_no_picture(monkeypatch):
                                   op="r0") is None
 
 
-def _unaligned_pictures(d1, d2, symbols, bound, op):
-    """Pictures at the image sizes where the plans read different lines, or in another order."""
-    image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
-    total = 0
-    for size in bound.image(op).sizes:
-        lines = [[set(line) for line in scan_lines(size, d).reading] for d in (image_mode, d2)]
-        if lines[0] != lines[1]:
-            total += len(symbols) ** cell_count(size)
-    return total
-
-
 @pytest.mark.parametrize("case", ["invalid a1", "invalid a2", "kind d1", "kind d2",
-                                  "alphabet", "op", "budget"])
+                                  "alphabet", "op", "budget", "budget at one size"])
 def test_inputs_checked_before_enumeration(case, monkeypatch):
     def refuse(*args):
         raise AssertionError("worked before checking the question")
 
-    monkeypatch.setattr(langtools, "_accepted_words", refuse)
-    monkeypatch.setattr(langtools, "_searched_difference", refuse)
+    # no picture is enumerated, and no plan or pair search is built
+    for name in ("_accepted_words", "_searched_difference", "scan_lines", "_PairSearch"):
+        monkeypatch.setattr(langtools, name, refuse)
     # the machines' builders: an invalid machine is refused when it is built
     a1, d1, a2, d2, alphabet, bound, op = m_all, CB, m_all, CB, AB, BOUND2, "R0"
     oracles = (bounded_equivalent, equivalent)
@@ -185,19 +199,22 @@ def test_inputs_checked_before_enumeration(case, monkeypatch):
         alphabet = ("a", "b", "c")
     elif case == "op":
         op = "R6"
-    else:
+    elif case == "budget":
         # only `equivalent` has a budget: 2^37 pictures at (4,4,4) alone
         bound, op, oracles = SizeBound.max_side(4), "R1", (equivalent,)
+    else:
+        # 2^14491 pictures at one size: a count longer than the 4,300 digits
+        # Python converts to text
+        bound = SizeBound(frozenset({HexSize(70, 70, 70)}))
+        op, oracles = "R1", (equivalent,)
     for oracle in oracles:
         with pytest.raises(error) as info:
             oracle(a1(), d1, a2(), d2, alphabet, bound, op)
         if error is InvalidAutomatonError:
             assert str(info.value) == "forward rule f a -> b targets backward state"
-    if case == "budget":
-        pictures = _unaligned_pictures(d1, d2, AB, bound, op)
-        assert pictures > 2 ** 37
-        assert str(info.value) == (f"the question needs {pictures} pictures enumerated where "
-                                   "the two plans do not align, over the budget of 1048576")
+    if case.startswith("budget"):
+        assert str(info.value) == ("the question needs more than 1048576 pictures enumerated "
+                                   "where the two plans do not align")
 
 
 @pytest.mark.parametrize("args", [("--d1", "R:R0"), ("--d2", "R:r3"), ("--op", "R6")])

@@ -205,6 +205,11 @@ def test_equiv_decides_sizes_enumeration_cannot_reach(capsys, tmp_path):
     # R1 turns the line family, so the large sizes would be enumerated
     code, out, err = equiv(*paths[2], "--op", "R1")
     assert (code, out) == (2, "") and err.startswith("error: the question needs ")
+    # the refusal counts pictures and builds no plan, so a far larger bound is refused too
+    code, out, err = run_cli(capsys, "equiv", "--a1", str(paths[2][0]), "--d1", "B:R0",
+                             "--a2", str(paths[2][1]), "--d2", "R:R0", "--op", "R1",
+                             "--max-side", "30")
+    assert (code, out) == (2, "") and err.startswith("error: the question needs ")
 
 
 def test_render(capsys, tmp_path):

@@ -322,6 +322,42 @@ def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
     assert killed == len(pool)
 
 
+def _plan_lines(d1, d2, size, swap):
+    """`_lines` decided from both plans, line by line: its earlier form, kept as its reference."""
+    lines = []
+    for l1, l2 in itertools.zip_longest(scan_lines(size, d1).reading,
+                                        scan_lines(size, d2).reading, fillvalue=()):
+        if l1 == l2:
+            lines.append((l1, None))
+        elif l1 == l2[::-1]:
+            lines.append((l1 if swap else l2, 0))
+        else:
+            return None
+    return lines
+
+
+def test_carrier_pattern_from_the_modes_matches_both_plans():
+    # Every pair of modes at every size with max side <= 6, side 0 either
+    # machine: where the modes align, `_lines` is the plans' comparison;
+    # where they do not, the plans align only at sizes with a side of 1.
+    from hexscan import ALL_MODES
+    from hexscan.langtools import _lines
+
+    aligned = dropped = 0
+    for size in SizeBound.max_side(6).sorted_sizes():
+        for d1, d2 in itertools.product(ALL_MODES, repeat=2):
+            for swap in (False, True):
+                got, want = _lines(d1, d2, size, swap), _plan_lines(d1, d2, size, swap)
+                if got is not None:
+                    assert got == want, (d1.code, d2.code, size, swap)
+                    aligned += 1
+                elif want is not None:
+                    assert min(size.as_tuple()) == 1, (d1.code, d2.code, size, swap)
+                    dropped += 1
+    # 20,736 aligned (mode pair, size) cases and 1,920 dropped ones, each with both swaps
+    assert (aligned, dropped) == (41472, 3840)
+
+
 G = ("R0", "r1", "R2", "r4")
 
 
@@ -543,7 +579,7 @@ def test_two_threads_asking_different_questions_get_a_single_threads_answers(mon
     assert langtools._kept.key == kept
 
 
-def test_equivalent_leaves_the_kept_search_alone():
+def test_equivalent_leaves_the_kept_search_alone(monkeypatch):
     # only the per-size oracle keeps a search: `equivalent` answers from one
     # of its own, so this thread's slot holds the same question after it
     from hexscan import langtools
@@ -555,6 +591,20 @@ def test_equivalent_leaves_the_kept_search_alone():
     for a2 in (m_some("a"), m_all()):
         equivalent(m_all(), CB, a2, CB, AB, SizeBound.max_side(2))
         assert langtools._kept.key == kept
+    # and it builds each size's lines only when its walk reaches that size:
+    # an unequal question at (1,1,1) builds no plan of a later size
+    planned = set()
+    plans = langtools.scan_lines
+
+    def counted(size, mode):
+        planned.add(size)
+        return plans(size, mode)
+
+    monkeypatch.setattr(langtools, "scan_lines", counted)
+    one = HexSize(1, 1, 1)
+    witness = equivalent(m_all(), CB, m_some("a"), CB, AB, SizeBound.max_side(6))
+    assert witness == make_uniform(one, "b")
+    assert planned == {one}
 
 
 def test_exact_oracle_agrees_with_enumeration_on_multi_character_symbols():
