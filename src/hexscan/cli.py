@@ -121,10 +121,17 @@ def _cmd_enum(args) -> int:
         hexgrid._check_symbol(tok)
     bound = langtools.SizeBound.max_side(args.max_side)
     if args.count_only:
-        total = 0
+        cell_counts = [hexgrid.cell_count(size) for size in bound.sizes]
+        counts = {n: len(alphabet) ** n for n in set(cell_counts)}
+        total = sum(counts[n] for n in cell_counts)
+        # the total bounds every count, so if it can be written, all can;
+        # interpreters before 3.10.7 have no limit and no way to ask for one
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and total >= 10 ** limit:
+            raise ValueError(f"the total count has more than {limit} digits, the most "
+                             "sys.get_int_max_str_digits() lets an int be written with")
         for size in bound.sorted_sizes():
-            count = len(alphabet) ** hexgrid.cell_count(size)
-            total += count
+            count = counts[hexgrid.cell_count(size)]
             sys.stdout.write(f"size {size.l} {size.m} {size.n}: {count}\n")
         sys.stdout.write(f"total: {total}\n")
         return 0

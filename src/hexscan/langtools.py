@@ -486,22 +486,21 @@ def equivalent(
     `bounded_equivalent`.  Where the image mode and d2 align
     (`scan._carried_lines`), one pair search decides every size, on lines
     built as the walk reaches each size.  Otherwise its enumeration walk
-    answers, unless the sizes' pictures, counted from cell counts alone,
-    exceed `_ENUMERATION_BUDGET`: then the question is refused with a
-    ValueError before any plan is built.
+    answers, unless the bound's pictures, counted from its cell counts alone
+    (an op keeps them), exceed `_ENUMERATION_BUDGET`: then the question is
+    refused with a ValueError before any size is imaged or plan built.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
-    sizes = bound.image(op).sorted_sizes()
     if _carried_lines(image_mode, d2) is None:
         # two symbols on 21 cells are over the budget: no larger power is computed
-        counts = (len(symbols) ** min(cell_count(size), 21) for size in sizes)
+        counts = (len(symbols) ** min(cell_count(size), 21) for size in bound.sizes)
         if any(total > _ENUMERATION_BUDGET for total in itertools.accumulate(counts)):
             raise ValueError(f"the question needs more than {_ENUMERATION_BUDGET} pictures "
                              "enumerated where the two plans do not align")
-        return _enumerated_walk(a1, image_mode, a2, d2, sizes, symbols)
+        return _enumerated_walk(a1, image_mode, a2, d2, bound.image(op).sorted_sizes(), symbols)
     swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
     search = _PairSearch(a2, a1, symbols) if swap else _PairSearch(a1, a2, symbols)
-    for size in sizes:
+    for size in bound.image(op).sorted_sizes():
         witness = _searched_difference(search, size, _lines(image_mode, d2, size, swap))
         if witness is not None:
             return witness

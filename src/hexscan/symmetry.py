@@ -16,20 +16,17 @@ Anchoring:
   * R1 is the 60-degree rotation with r1 = R1 after r0; R3 = r0 after r3 is
     the central 180-degree rotation.
 
-Composition convention: compose(g, h) applies h first, then g, and agrees
-with the group's multiplication table entry at row g, column h.
+The signed permutations are the group's only definition: the op names, the
+product table behind `compose` (h first, then g), `invert` and the normal
+forms are all computed from them.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
 
 from .hexgrid import Cell, HexPicture, HexSize, cells, picture_from_cells
-
-OP_NAMES: tuple[str, ...] = (
-    "R0", "R1", "R2", "R3", "R4", "R5",
-    "r0", "r1", "r2", "r3", "r4", "r5",
-)
 
 OpWord = tuple[str, ...]
 
@@ -49,6 +46,7 @@ _CUBE_MAPS: dict[str, tuple[tuple[int, int, int], bool]] = {
     "r4": ((2, 1, 0), False),
     "r5": ((1, 0, 2), True),
 }
+OP_NAMES: tuple[str, ...] = tuple(_CUBE_MAPS)
 
 # The cube coordinates x = q, y = -q-r, z = r, each as its (r, q) coefficients
 _CUBE_AXES = ((0, 1), (-1, -1), (1, 0))
@@ -64,23 +62,6 @@ def _linear(perm: tuple[int, int, int], negate: bool) -> tuple[int, int, int, in
 # Each op's linear part on (r, q), built once from its cube permutation
 _LINEAR: dict[str, tuple[int, int, int, int]] = {op: _linear(*m) for op, m in _CUBE_MAPS.items()}
 
-# Normal forms over the generators {R1, r1}; words are written outermost
-# first, so evaluation applies the rightmost letter first.
-NORMAL_FORMS: dict[str, OpWord] = {
-    "R0": ("r1", "r1"),
-    "R1": ("R1",),
-    "R2": ("R1", "R1"),
-    "R3": ("R1", "R1", "R1"),
-    "R4": ("R1", "R1", "R1", "R1"),
-    "R5": ("R1", "R1", "R1", "R1", "R1"),
-    "r0": ("r1", "R1"),
-    "r1": ("r1",),
-    "r2": ("r1", "R1", "R1", "R1", "R1", "R1"),
-    "r3": ("r1", "R1", "R1", "R1", "R1"),
-    "r4": ("r1", "R1", "R1", "R1"),
-    "r5": ("r1", "R1", "R1"),
-}
-
 
 def check_op(op: str) -> str:
     if op not in _CUBE_MAPS:
@@ -92,26 +73,31 @@ def is_rotation(op: str) -> bool:
     return check_op(op)[0] == "R"
 
 
-def _op_index(op: str) -> int:
-    return int(check_op(op)[1])
+# The group law, read off the cube maps: applying h, then g, takes source
+# index ph[pg[i]] to image index i, negated when exactly one of them negates.
+_NAMES = {m: op for op, m in _CUBE_MAPS.items()}
+_PRODUCT: dict[tuple[str, str], str] = {
+    (g, h): _NAMES[tuple(ph[i] for i in pg), ng != nh]
+    for g, (pg, ng) in _CUBE_MAPS.items() for h, (ph, nh) in _CUBE_MAPS.items()
+}
+_INVERSE: dict[str, str] = {g: h for (g, h), gh in _PRODUCT.items() if gh == "R0"}
 
 
 def compose(g: str, h: str) -> str:
     """The op equal to applying h first, then g."""
-    gi, hi = _op_index(g), _op_index(h)
-    if is_rotation(g) and is_rotation(h):
-        return f"R{(gi + hi) % 6}"
-    if is_rotation(g):
-        return f"r{(gi + hi) % 6}"
-    if is_rotation(h):
-        return f"r{(gi - hi) % 6}"
-    return f"R{(gi - hi) % 6}"
+    return _PRODUCT[check_op(g), check_op(h)]
 
 
 def invert(op: str) -> str:
-    if is_rotation(op):
-        return f"R{(-_op_index(op)) % 6}"
-    return op
+    return _INVERSE[check_op(op)]
+
+
+# Normal forms over {R1, r1}, written outermost first: R1^k for the rotations
+# (R0 is r1 r1) and r1 R1^k for the reflections, each filed under the op it
+# evaluates to, `reduce(compose, word, "R0")`: its rightmost letter first.
+_WORDS = {reduce(compose, word, "R0"): word for word in (
+    ("r1", "r1"), *(("R1",) * k for k in range(1, 6)), *(("r1",) + ("R1",) * k for k in range(6)))}
+NORMAL_FORMS: dict[str, OpWord] = {op: _WORDS[op] for op in OP_NAMES}
 
 
 def normal_form(op: str) -> OpWord:

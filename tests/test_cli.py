@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import random
 import re
 import subprocess
@@ -25,6 +26,7 @@ from hexscan.cli import _GRAMMAR, _read_argv, build_parser, main
 from hexscan.hexgrid import Cell, cells
 from hexscan.langtools import SizeBound, exact_equivalent_for_size
 
+from test_symmetry import _COLS, TABLE
 from conftest import (
     expected_output_states, is_deterministic, m_all, m_at_most, m_none, m_parity, m_pipe_named,
     m_plus_named, marker_picture, random_ghbfa, symbol_at,
@@ -75,6 +77,10 @@ def test_group_table(capsys):
     lines = out.splitlines()
     assert code == 0 and len(lines) == 13
     assert lines[1].split() == ["R0"] + "R0 R1 R2 R3 R4 R5 r0 r1 r2 r3 r4 r5".split()
+    # every cell, against the table written out independently of compose()
+    expected = ["o  " + " ".join(_COLS)]
+    expected += [" ".join([g] + [TABLE[g][h] for h in _COLS]) for g in _COLS]
+    assert out == "\n".join(expected) + "\n"
 
 
 def test_group_requires_an_action(capsys):
@@ -313,6 +319,22 @@ def test_enum_count_only(capsys):
     assert code == 0
     assert out.endswith("total: 190\n")
     assert "size 2 2 2: 128" in out
+
+
+def test_enum_count_only_refuses_counts_too_long_to_write(capsys):
+    alphabet = ",".join(f"s{i}" for i in range(100))
+    # the largest of these counts, 100^2,107 at (27,27,27), has 4,215 digits
+    code, out, _ = run_cli(capsys, "enum", "--alphabet", alphabet,
+                           "--max-side", "27", "--count-only")
+    assert code == 0 and out.count("\n") == 27 ** 3 + 1
+    digest = "c4d6ec01e4cf805c67c937f057b7599b66715fd0d0e9782b7d22ad8f1e0139da"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # 100^2,269 at (28,28,28) has 4,539: more than an int may be written with,
+    # so nothing is written
+    code, out, err = run_cli(capsys, "enum", "--alphabet", alphabet,
+                             "--max-side", "28", "--count-only")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "sys.get_int_max_str_digits()" in err
 
 
 def test_enum_pictures(capsys):

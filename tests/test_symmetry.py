@@ -124,10 +124,14 @@ def test_apply_preserves_cell_multiset(size, op):
 
 
 def test_normal_form_words():
-    assert normal_form("R2") == ("R1", "R1")
-    assert normal_form("r0") == ("r1", "R1")
-    assert normal_form("R1") == ("R1",)
-    assert normal_form("r1") == ("r1",)
+    words = {
+        "R0": "r1 r1", "R1": "R1", "R2": "R1 R1", "R3": "R1 R1 R1",
+        "R4": "R1 R1 R1 R1", "R5": "R1 R1 R1 R1 R1",
+        "r0": "r1 R1", "r1": "r1", "r2": "r1 R1 R1 R1 R1 R1",
+        "r3": "r1 R1 R1 R1 R1", "r4": "r1 R1 R1 R1", "r5": "r1 R1 R1",
+    }
+    for op in OP_NAMES:
+        assert normal_form(op) == tuple(words[op].split()), op
 
 
 def test_normal_forms_evaluate_pictorially():
