@@ -18,16 +18,17 @@ one row per symbol, `#` included, and every read steps its symbol's row.  A
 run accepts iff a final state is reachable after the last `#`.
 Nondeterminism is resolved by frontier-set simulation, exact because the
 word never depends on the data, so a run is subset construction done
-lazily: one step per (frontier, symbol) pair it meets, each computed once
-per call.  A run rejects as soon as its frontier empties.
+lazily: each run builds a table of the frontiers it meets, one node per
+subset, each (frontier, symbol) step computed once per call, and frees it
+when it returns, so a long-lived machine does not grow with its runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple
 
 from .hexgrid import BORDER_SYMBOL, Cell, FormatError, HexPicture, RESERVED_SYMBOLS
@@ -168,7 +169,7 @@ def _check_question(a: HexAutomaton, d: DirectionMode, symbols: Iterable[str]) -
     """Raise unless `d` is of `a`'s kind and `symbols` are in its alphabet."""
     if d.kind != a.kind:
         raise ValueError(f"mode kind {d.kind} does not match automaton kind {a.kind}")
-    missing = set(symbols) - a.alphabet
+    missing = frozenset(symbols) - a.alphabet
     if missing:
         raise ValueError(f"symbols {sorted(missing)} outside automaton alphabet")
 
@@ -204,6 +205,31 @@ def _union(rows: tuple[int, ...], mask: int) -> int:
     return acc
 
 
+class _Frontier(dict):
+    """One frontier a run has met: each symbol read maps to the next frontier.
+
+    `nodes` files every frontier of the run's table, by mask, and is shared
+    by all of them.  A symbol not read here before is stepped once, by
+    `_union` over its row of `value`, and its successor filed, so a read
+    whose step is known is one C-level dictionary lookup.
+    """
+
+    __slots__ = ("mask", "value", "nodes")
+
+    def __init__(self, mask: int, value: dict[str, tuple[int, ...]], nodes: dict[int, "_Frontier"]):
+        self.mask = mask
+        self.value = value
+        self.nodes = nodes
+
+    def __missing__(self, symbol: str) -> "_Frontier":
+        mask = _union(self.value[symbol], self.mask)
+        nxt = self.nodes.get(mask)
+        if nxt is None:
+            nxt = self.nodes[mask] = _Frontier(mask, self.value, self.nodes)
+        self[symbol] = nxt
+        return nxt
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One consumed symbol: a cell read or a border read."""
@@ -230,39 +256,31 @@ def run(
 
     The run reads the plan's word: each line in reading order, `b` flagged
     where the plan reads it backwards, then `#`; the plan's `reader` builds
-    it from the picture's symbols, and every read steps its symbol's row.
-    Without a trace, each (frontier, symbol) step is computed once per
-    call: subset construction done lazily, on the frontiers this run meets.
-    The run rejects as soon as a read leaves no state.
+    it from the picture's row-major word, and every read steps its symbol's
+    row.  Without a trace, the word is walked through a table of the
+    frontiers met (`_Frontier`): subset construction done lazily, each
+    (frontier, symbol) step computed once per call.  The table holds at
+    most the subsets met, the empty one included, and is freed when the
+    call returns.  An emptied frontier is read to the end of the word,
+    where it rejects.
     """
     if mode is None:
         mode = canonical_mode(a.kind)
-    flat = [*chain.from_iterable(picture.rows)]
-    _check_question(a, mode, flat)
+    _check_question(a, mode, picture.symbols)
     plan = scan_lines(picture.size, mode)
-    flat.append(BORDER_SYMBOL)
-    word = plan.reader(flat)
+    word = plan.reader(picture.row_major_word)
     if trace:
         return _run_traced(a, plan, word)
     idx = a._indexed
-    value = idx.value
-    # frontier -> symbol -> next frontier, for the frontiers met so far;
-    # local to the call, so a long-lived machine does not grow with its runs
-    steps: dict[int, dict[str, int]] = {}
-    frontier = idx.start_mask
-    table = steps[frontier] = {}
-    for symbol in word:
-        nxt = table.get(symbol)
-        if nxt is None:
-            nxt = table[symbol] = _union(value[symbol], frontier)
-        if nxt != frontier:
-            if not nxt:
-                return False
-            frontier = nxt
-            table = steps.get(frontier)
-            if table is None:
-                table = steps[frontier] = {}
-    return bool(frontier & idx.finals_mask)
+    nodes: dict[int, _Frontier] = {}
+    start = nodes[idx.start_mask] = _Frontier(idx.start_mask, idx.value, nodes)
+    accepted = bool(reduce(getitem, word, start).mask & idx.finals_mask)
+    # the steps and `nodes` make cycles; cut them so the table goes now, not
+    # at the next collection
+    for node in nodes.values():
+        node.clear()
+    nodes.clear()
+    return accepted
 
 
 def _run_traced(a: HexAutomaton, plan: ScanPlan, word: tuple[str, ...]) -> tuple[bool, RunTrace]:

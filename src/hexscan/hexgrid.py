@@ -21,6 +21,8 @@ which makes the three lattice line families exactly {r constant},
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 BORDER_SYMBOL = "#"
@@ -127,6 +129,18 @@ class HexPicture:
                 raise ValueError(f"row {r} must have {want} cells, got {len(row)}")
             for symbol in row:
                 _check_symbol(symbol)
+
+    # Computed once per picture, so the runs of every mode and machine share
+    # them; the rows are immutable, so neither can go stale.
+    @cached_property
+    def row_major_word(self) -> tuple[str, ...]:
+        """The picture's symbols in row-major order, then `#`: what a plan's `reader` reads."""
+        return (*chain.from_iterable(self.rows), BORDER_SYMBOL)
+
+    @cached_property
+    def symbols(self) -> frozenset[str]:
+        """The distinct symbols of the picture's cells."""
+        return frozenset(chain.from_iterable(self.rows))
 
 
 def make_uniform(size: HexSize, symbol: str) -> HexPicture:

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from hexscan import BOUSTROPHEDON, RETURNING, HexSize, apply_op, automaton, transform_size
+from hexscan import (BORDER_SYMBOL, BOUSTROPHEDON, RETURNING, HexSize, apply_op, automaton,
+                     transform_size)
 from hexscan.hexgrid import Cell, cells, offset, picture_from_cells
 
 
@@ -221,6 +222,45 @@ def random_ghrfa(rng: random.Random, max_states=3, alphabet=("a", "b")):
     br = {(p, q) for p in states for q in states if rng.random() < 0.5}
     finals = [s for s in states if rng.random() < 0.4]
     return automaton(RETURNING, states, [], alphabet, vr, br, "q0", finals)
+
+
+def fooling_witness(k):
+    """GHBFA with k forward and k backward states built for a fooling set.
+
+    Border rules pair `fi` with `bi` both ways; every backward state is
+    final.  Value rules: `e` loops on every state, `f0 --g.x--> x` for each
+    forward x, `c --a.c.q--> q` and `p --v.p.c--> c` for all backward c, p, q,
+    and `y --d.y--> y` for each forward y.
+    """
+    fwd = [f"f{i}" for i in range(k)]
+    bwd = [f"b{i}" for i in range(k)]
+    partner = {**dict(zip(fwd, bwd)), **dict(zip(bwd, fwd))}
+    rules = {(s, "e", s) for s in fwd + bwd}
+    rules |= {("f0", f"g.{x}", x) for x in fwd}
+    rules |= {(c, f"a.{c}.{q}", q) for c in bwd for q in bwd}
+    rules |= {(p, f"v.{p}.{c}", c) for p in bwd for c in bwd}
+    rules |= {(y, f"d.{y}", y) for y in fwd}
+    alphabet = {sym for _, sym, _ in rules}
+    a = automaton(BOUSTROPHEDON, fwd, bwd, alphabet, rules, partner.items(),
+                  "f0", bwd)
+    return a, partner
+
+
+def picture_of_linearization(plan, word):
+    """The picture whose returning linearization under `plan` is `word`."""
+    segments, line = [], []
+    for sym in word:
+        if sym == BORDER_SYMBOL:
+            segments.append(line)
+            line = []
+        else:
+            line.append(sym)
+    assert not line and tuple(map(len, segments)) == tuple(map(len, plan.lines))
+    return picture_from_cells(plan.size, {
+        cell: sym
+        for line_cells, syms in zip(plan.lines, segments)
+        for cell, sym in zip(line_cells, syms)
+    })
 
 
 @pytest.fixture

@@ -52,8 +52,9 @@ from hexscan.transforms import (
 )
 from hexscan.automata import determinize, serialize_automaton
 
-from conftest import (evaluate_word, expected_output_states, is_deterministic, m_all, m_none,
-                      marker_picture, random_ghbfa, random_ghrfa)
+from conftest import (evaluate_word, expected_output_states, fooling_witness, is_deterministic,
+                      m_all, m_none, marker_picture, picture_of_linearization, random_ghbfa,
+                      random_ghrfa)
 
 AB = ("a", "b")
 BOUND2 = SizeBound.max_side(2)
@@ -274,45 +275,6 @@ def test_criterion_11_cli_contract(tmp_path, capsys):
     _report(11, time.time() - start, 60, "3 byte-exact invocations")
 
 
-def _fooling_witness(k):
-    """GHBFA with k forward and k backward states built for a fooling set.
-
-    Border rules pair `fi` with `bi` both ways; every backward state is
-    final.  Value rules: `e` loops on every state, `f0 --g.x--> x` for each
-    forward x, `c --a.c.q--> q` and `p --v.p.c--> c` for all backward c, p, q,
-    and `y --d.y--> y` for each forward y.
-    """
-    fwd = [f"f{i}" for i in range(k)]
-    bwd = [f"b{i}" for i in range(k)]
-    partner = {**dict(zip(fwd, bwd)), **dict(zip(bwd, fwd))}
-    rules = {(s, "e", s) for s in fwd + bwd}
-    rules |= {("f0", f"g.{x}", x) for x in fwd}
-    rules |= {(c, f"a.{c}.{q}", q) for c in bwd for q in bwd}
-    rules |= {(p, f"v.{p}.{c}", c) for p in bwd for c in bwd}
-    rules |= {(y, f"d.{y}", y) for y in fwd}
-    alphabet = {sym for _, sym, _ in rules}
-    a = automaton(BOUSTROPHEDON, fwd, bwd, alphabet, rules, partner.items(),
-                  "f0", bwd)
-    return a, partner
-
-
-def _picture_of_linearization(plan, word):
-    """The picture whose returning linearization under `plan` is `word`."""
-    segments, line = [], []
-    for sym in word:
-        if sym == BORDER_SYMBOL:
-            segments.append(line)
-            line = []
-        else:
-            line.append(sym)
-    assert not line and tuple(map(len, segments)) == tuple(map(len, plan.lines))
-    return picture_from_cells(plan.size, {
-        cell: sym
-        for line_cells, syms in zip(plan.lines, segments)
-        for cell, sym in zip(line_cells, syms)
-    })
-
-
 def test_criterion_12_conversion_lower_bound_certificate():
     """No canonical-mode conversion meets 2|Q|^2+1 states on every input.
 
@@ -334,7 +296,7 @@ def test_criterion_12_conversion_lower_bound_certificate():
     """
     start = time.time()
     k = 9
-    witness, partner = _fooling_witness(k)
+    witness, partner = fooling_witness(k)
     assert validate(witness) == []
     n = len(witness.states)
     assert n == 18
@@ -352,7 +314,7 @@ def test_criterion_12_conversion_lower_bound_certificate():
     assert len(pairs) > 2 * n**2 + 1
 
     def accepts(prefix, suffix):
-        return run(witness, _picture_of_linearization(plan, prefix + suffix), CB)
+        return run(witness, picture_of_linearization(plan, prefix + suffix), CB)
 
     for prefix, suffix in pairs:
         assert accepts(prefix, suffix), prefix
@@ -365,7 +327,7 @@ def test_criterion_12_conversion_lower_bound_certificate():
 def test_conversion_of_criterion_12_witness_is_near_its_bound():
     """The conversion builds 1 + k + k^3 states, within k + 1 of the bound."""
     k = 9
-    witness, _ = _fooling_witness(k)
+    witness, _ = fooling_witness(k)
     conv = hbfa_to_hrfa(witness)
     assert len(conv.states) == expected_output_states("hbfa-to-hrfa", witness) == 1 + k + k**3
     for size in (HexSize(1, 1, 1), HexSize(1, 1, 2), HexSize(2, 2, 2)):

@@ -23,13 +23,14 @@ from hexscan import (
     serialize_automaton,
     validate,
 )
+from hexscan import automata
 from hexscan.automata import InvalidAutomatonError, _union
 from hexscan.hexgrid import Cell, FormatError, cells as size_cells, picture_from_cells
 from hexscan.langtools import SizeBound, bounded_equivalent, equivalent, exact_equivalent_for_size
 from hexscan.transforms import hbfa_to_hrfa
 
-from conftest import (is_deterministic, m_all, m_none, m_parity, m_plus_named, random_ghbfa,
-                      random_ghrfa, symbol_at)
+from conftest import (fooling_witness, is_deterministic, m_all, m_none, m_parity, m_plus_named,
+                      picture_of_linearization, random_ghbfa, random_ghrfa, symbol_at)
 
 
 def test_validate_ok():
@@ -124,11 +125,28 @@ def test_run_parity():
 
 
 def test_run_rejects_foreign_symbols_and_kind_mismatch():
-    p = make_uniform(HexSize(1, 1, 1), "z")
-    with pytest.raises(ValueError):
-        run(m_all(), p)
-    with pytest.raises(ValueError):
-        run(m_all(), make_uniform(HexSize(1, 1, 1), "a"), canonical_mode(RETURNING))
+    size = HexSize(2, 2, 2)
+    zy = picture_from_cells(size, {c: "zy"[c.q % 2] for c in size_cells(size)})
+    with pytest.raises(ValueError, match=r"^symbols \['y', 'z'\] outside automaton alphabet$"):
+        run(m_all(), zy)
+    # the kind is checked before the symbols
+    with pytest.raises(ValueError, match="^mode kind returning does not match automaton kind "
+                                         "boustrophedon$"):
+        run(m_all(), zy, canonical_mode(RETURNING))
+    # one picture object, whose symbol set is computed once, against machines
+    # of two alphabets: it is refused exactly where its cells leave the alphabet
+    p = picture_from_cells(size, {c: "abc"[c.r % 3] for c in size_cells(size)})
+    narrow, wide = m_all(alphabet=("a", "b")), m_all(alphabet=("a", "b", "c"))
+    for a in (narrow, wide, narrow):
+        missing = sorted({sym for row in p.rows for sym in row} - a.alphabet)
+        for mode in modes_for_kind(a.kind):
+            if missing:
+                with pytest.raises(ValueError) as info:
+                    run(a, p, mode)
+                assert str(info.value) == f"symbols {missing} outside automaton alphabet"
+            else:
+                assert run(a, p, mode) is True
+    assert p.symbols == {"a", "b", "c"}
 
 
 def test_run_requires_valid_automaton():
@@ -153,9 +171,23 @@ def test_indexed_automaton_is_collected_with_its_last_reference():
 
     size = HexSize(1, 2, 2)
     cb = canonical_mode(BOUSTROPHEDON)
+    kept = []  # one picture per machine asked by `ask_run`, held past the machine
 
     def ask_run(a):
-        assert run(a, make_uniform(size, "a"))
+        # each picture keeps its word and symbol set: pictures dropped while
+        # the machine lives are collected, and below the machine is
+        # collected while one lives on
+        rng = random.Random(7)
+        pictures = [_random_picture(rng, s, ("a", "b"))
+                    for s in (size, HexSize(2, 3, 2), HexSize(3, 2, 4)) for _ in range(2)]
+        for p in pictures:
+            for mode in modes_for_kind(a.kind):
+                run(a, p, mode)
+        kept.append(pictures.pop())
+        dropped = [weakref.ref(p) for p in pictures]
+        del pictures, p
+        gc.collect()
+        assert all(ref() is None for ref in dropped)
 
     def ask_exact(a):
         # the exact oracle keeps its question's search until a different one is asked
@@ -173,6 +205,12 @@ def test_indexed_automaton_is_collected_with_its_last_reference():
         del a
         gc.collect()
         assert alive() is None
+    # the picture outlived the machine that ran it, and goes with its last reference
+    held = weakref.ref(kept[0])
+    assert "row_major_word" in vars(kept[0]) and "symbols" in vars(kept[0])
+    kept.clear()
+    gc.collect()
+    assert held() is None
 
 
 def test_trace_step_count_and_flags():
@@ -275,8 +313,88 @@ def test_run_agrees_with_its_trace_and_a_cell_by_cell_reference():
                         assert run(a, p, mode, trace=True)[0] is want, (mode.code, size)
                         emptied += early
                         kept += not early
-    # the early reject fires on some runs, and some runs read every line
+    # the reference sees some runs empty the frontier before their last line
+    # and some keep a state to the end; `run` reads both kinds to the end
     assert emptied > 5000 and kept > 5000
+
+
+def test_frontier_table_answers_like_the_reference_and_stays_bounded(monkeypatch):
+    built = []  # the masks of the frontier nodes the current run builds
+    stepped = []  # and the (mask, symbol) steps it computes
+
+    class Counted(automata._Frontier):
+        __slots__ = ()
+
+        def __init__(self, mask, value, nodes):
+            built.append(mask)
+            super().__init__(mask, value, nodes)
+
+        def __missing__(self, symbol):
+            stepped.append((self.mask, symbol))
+            return super().__missing__(symbol)
+
+    monkeypatch.setattr(automata, "_Frontier", Counted)
+    rng = random.Random(2417)
+    sizes = SizeBound.max_side(4).sorted_sizes()
+    questions = []
+    for alphabet in (("a", "b"), ("ab", "c1", "xyz")):
+        for _ in range(3):
+            for a in (random_ghbfa(rng, alphabet=alphabet), random_ghrfa(rng, alphabet=alphabet)):
+                bound = len(determinize(a).states) + 1
+                questions += [(a, bound, _random_picture(rng, size, alphabet), mode)
+                              for size in sizes for mode in modes_for_kind(a.kind)]
+    # the criterion-12 witness on pictures of its fooling words, every other
+    # one the prefix and suffix of one fooling pair
+    witness, partner = fooling_witness(9)
+    bound = len(determinize(witness).states) + 1
+    plan = scan_lines(HexSize(2, 2, 2), canonical_mode(RETURNING))
+    fwd, bwd = sorted(witness.forward_states), sorted(witness.backward_states)
+    for i in range(48):
+        x, c, q = rng.choice(fwd), rng.choice(bwd), rng.choice(bwd)
+        y, d, r = (x, c, q) if i % 2 else (rng.choice(fwd), rng.choice(bwd), rng.choice(bwd))
+        word = (f"g.{x}", "e", BORDER_SYMBOL, f"a.{c}.{q}", "e", f"v.{partner[y]}.{d}",
+                BORDER_SYMBOL, f"d.{partner[r]}", "e", BORDER_SYMBOL)
+        p = picture_of_linearization(plan, word)
+        questions += [(witness, bound, p, mode) for mode in modes_for_kind(BOUSTROPHEDON)]
+    rng.shuffle(questions)
+    verdicts = set()
+    for a, bound, p, mode in questions:
+        want, _ = _reference_run(a, p, mode)
+        built.clear()
+        stepped.clear()
+        assert run(a, p, mode) is want, (mode.code, p.size)
+        # one node per subset met, each a reachable subset or the empty one,
+        # and each step computed once
+        assert 1 <= len(built) == len(set(built)) <= bound, (mode.code, p.size)
+        assert len(stepped) == len(set(stepped)), (mode.code, p.size)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_run_frees_its_frontier_table_when_it_returns():
+    import gc
+
+    # q0 reads on and guesses an `a`, q1 .. q16 count the cells after it:
+    # "the 16th cell from the end is `a`", whose runs meet many subsets
+    counters = [f"q{i}" for i in range(17)]
+    value = [("q0", s, "q0") for s in "ab"] + [("q0", "a", "q1")]
+    value += [(p, s, q) for p, q in zip(counters[1:], counters[2:]) for s in "ab"]
+    a = automaton(RETURNING, counters, [], ("a", "b"), value,
+                  [(q, q) for q in counters], "q0", ["q16"])
+    rng = random.Random(2418)
+    pictures = [_random_picture(rng, HexSize(*(rng.randint(4, 9) for _ in range(3))), ("a", "b"))
+                for _ in range(6)]
+    want = [_reference_run(a, p, mode)[0] for p in pictures for mode in modes_for_kind(RETURNING)]
+    # with the collector off, a table left in a reference cycle would stay
+    gc.collect()
+    gc.disable()
+    try:
+        got = [run(a, p, mode) for p in pictures for mode in modes_for_kind(RETURNING)]
+        left = sum(isinstance(o, automata._Frontier) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert got == want and True in got and False in got
+    assert left == 0
 
 
 def test_run_reads_a_ten_thousand_cell_picture_in_every_mode():
