@@ -2,14 +2,12 @@
 
 from .hexgrid import (
     BORDER_SYMBOL,
-    BorderedPicture,
     Cell,
     ERASED_SYMBOL,
     FormatError,
     HexPicture,
     HexSize,
     ReservedSymbolError,
-    bordered,
     cell_count,
     cells,
     make_uniform,
@@ -27,7 +25,6 @@ from .symmetry import (
     transform_size,
 )
 from .scan import (
-    ALL_MODES,
     BOUSTROPHEDON,
     DirectionMode,
     RETURNING,
@@ -56,7 +53,6 @@ from .transforms import (
     point_reflection,
 )
 from .langtools import (
-    LanguageSample,
     SizeBound,
     accepted_set,
     bounded_equivalent,

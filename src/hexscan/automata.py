@@ -18,16 +18,17 @@ one row per symbol, `#` included, and every read steps its symbol's row.  A
 run accepts iff a final state is reachable after the last `#`.
 Nondeterminism is resolved by frontier-set simulation, exact because the
 word never depends on the data, so a run is subset construction done
-lazily: each run builds a table of the frontiers it meets, one node per
-subset, each (frontier, symbol) step computed once per call, and frees it
-when it returns, so a long-lived machine does not grow with its runs.
+lazily: each run, traced or not, builds a table of the frontiers it meets,
+one node per subset, each (frontier, symbol) step computed once per call,
+and frees it when it returns, so a long-lived machine does not grow with
+its runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple
 
@@ -36,7 +37,6 @@ from .scan import (
     BOUSTROPHEDON,
     DirectionMode,
     RETURNING,
-    ScanPlan,
     canonical_mode,
     parse_direction,
     scan_lines,
@@ -257,45 +257,41 @@ def run(
     The run reads the plan's word: each line in reading order, `b` flagged
     where the plan reads it backwards, then `#`; the plan's `reader` builds
     it from the picture's row-major word, and every read steps its symbol's
-    row.  Without a trace, the word is walked through a table of the
-    frontiers met (`_Frontier`): subset construction done lazily, each
-    (frontier, symbol) step computed once per call.  The table holds at
-    most the subsets met, the empty one included, and is freed when the
-    call returns.  An emptied frontier is read to the end of the word,
-    where it rejects.
+    row.  The word is walked through a table of the frontiers met
+    (`_Frontier`): subset construction done lazily, each (frontier, symbol)
+    step computed once per call.  The table holds at most the subsets met,
+    the empty one included, and is freed when the call returns.  An emptied
+    frontier is read to the end of the word, where it rejects.  A trace
+    keeps the node reached after each read and names its states.
     """
     if mode is None:
         mode = canonical_mode(a.kind)
     _check_question(a, mode, picture.symbols)
     plan = scan_lines(picture.size, mode)
     word = plan.reader(picture.row_major_word)
-    if trace:
-        return _run_traced(a, plan, word)
     idx = a._indexed
     nodes: dict[int, _Frontier] = {}
     start = nodes[idx.start_mask] = _Frontier(idx.start_mask, idx.value, nodes)
-    accepted = bool(reduce(getitem, word, start).mask & idx.finals_mask)
+    if trace:
+        # the frontier after each read, in order; `accumulate` yields the start first
+        reached = [node.mask for node in accumulate(word, getitem, initial=start)][1:]
+        end = reached[-1]
+    else:
+        end = reduce(getitem, word, start).mask
     # the steps and `nodes` make cycles; cut them so the table goes now, not
     # at the next collection
     for node in nodes.values():
         node.clear()
     nodes.clear()
-    return accepted
-
-
-def _run_traced(a: HexAutomaton, plan: ScanPlan, word: tuple[str, ...]) -> tuple[bool, RunTrace]:
-    """`run` symbol by symbol, recording the states after every read."""
-    idx = a._indexed
-    frontier = idx.start_mask
-    steps: list[TraceStep] = []
-    symbols = iter(word)
-    for line, backward in zip(plan.reading, plan.backward):
-        flag = "b" if backward else "f"
-        # the line's cells, then its `#`, which reads no cell
-        for cell, symbol in zip((*line, None), symbols):
-            frontier = _union(idx.value[symbol], frontier)
-            steps.append(TraceStep(len(steps), symbol, cell, flag, idx.to_states(frontier)))
-    return bool(frontier & idx.finals_mask), RunTrace(tuple(steps))
+    accepted = bool(end & idx.finals_mask)
+    if not trace:
+        return accepted
+    # each line's cells, then its `#`, which reads no cell
+    reads = ((cell, "b" if backward else "f")
+             for line, backward in zip(plan.reading, plan.backward) for cell in (*line, None))
+    steps = (TraceStep(i, symbol, cell, flag, idx.to_states(mask))
+             for i, (symbol, (cell, flag), mask) in enumerate(zip(word, reads, reached)))
+    return accepted, RunTrace(tuple(steps))
 
 
 def determinize(a: HexAutomaton) -> HexAutomaton:

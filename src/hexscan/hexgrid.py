@@ -1,4 +1,4 @@
-"""Hexagonal picture model: sizes, cells, pictures, borders, and text I/O.
+"""Hexagonal picture model: sizes, cells, pictures, text I/O and ASCII rendering.
 
 A hexagonal picture of size (l, m, n) is a hexagon-shaped arrangement of
 symbols on a triangular lattice, where l, m, n are the lengths of the
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 BORDER_SYMBOL = "#"
 ERASED_SYMBOL = "_"
@@ -158,31 +158,6 @@ def picture_from_cells(size: HexSize, assignment: dict[Cell, str]) -> HexPicture
     return HexPicture(size, tuple(rows))
 
 
-@dataclass(frozen=True)
-class BorderedPicture:
-    """A picture surrounded by a one-cell ring of `#` border symbols.
-
-    The bordered shape has size (l+1, m+1, n+1); the inner picture embeds at
-    (r, q) -> (r+1, q) and every remaining cell of the larger hexagon is a
-    border cell.
-    """
-
-    inner: HexPicture
-
-    @property
-    def size(self) -> HexSize:
-        s = self.inner.size
-        return HexSize(s.l + 1, s.m + 1, s.n + 1)
-
-    def rows(self) -> tuple[tuple[str, ...], ...]:
-        edge = (BORDER_SYMBOL,) * self.size.m
-        return (edge, *((BORDER_SYMBOL, *row, BORDER_SYMBOL) for row in self.inner.rows), edge)
-
-
-def bordered(picture: HexPicture) -> BorderedPicture:
-    return BorderedPicture(picture)
-
-
 # --- text format -----------------------------------------------------------
 #
 # %HXP 1
@@ -234,25 +209,25 @@ def serialize_picture(picture: HexPicture) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_rows(size: HexSize, rows: Sequence[Sequence[str]]) -> str:
+def render_ascii(picture: HexPicture, with_border: bool = False) -> str:
     """Render rows with indentation so the hexagonal outline is visible.
 
-    Row r's leftmost cell sits at horizontal position q + r/2; with one
-    character per half-cell step that is r - 2*min(r, l-1) half-steps.
+    `with_border` adds the one-cell ring of `#`: the size grows to
+    (l+1, m+1, n+1), a full row of `#` above and below, and one `#` at each
+    end of every inner row.  Row r's leftmost cell sits at horizontal
+    position q + r/2; with one character per half-cell step that is
+    r - 2*min(r, l-1) half-steps.
     """
+    l, rows = picture.size.l, picture.rows
+    if with_border:
+        edge = (BORDER_SYMBOL,) * (picture.size.m + 1)
+        l, rows = l + 1, (edge, *((BORDER_SYMBOL, *row, BORDER_SYMBOL) for row in rows), edge)
     cell_w = max(len(tok) for row in rows for tok in row)
     half = (cell_w + 1) / 2
-    lefts = [r - 2 * min(r, size.l - 1) for r in range(size.row_count)]
+    lefts = [r - 2 * min(r, l - 1) for r in range(len(rows))]
     low = min(lefts)
     out = []
-    for r, row in enumerate(rows):
-        indent = " " * round((lefts[r] - low) * half)
+    for left, row in zip(lefts, rows):
+        indent = " " * round((left - low) * half)
         out.append(indent + " ".join(tok.ljust(cell_w) for tok in row).rstrip())
     return "\n".join(out)
-
-
-def render_ascii(picture: HexPicture, with_border: bool = False) -> str:
-    if with_border:
-        b = bordered(picture)
-        return _render_rows(b.size, b.rows())
-    return _render_rows(picture.size, picture.rows)

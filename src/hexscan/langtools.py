@@ -81,8 +81,6 @@ class SizeBound:
 class LanguageSample:
     """The accepted subset of all pictures over an alphabet within a bound."""
 
-    alphabet: frozenset[str]
-    bound: SizeBound
     members: frozenset[HexPicture]
 
 
@@ -207,16 +205,12 @@ def accepted_set(
         for size in bound.sizes
         for flat in _accepted_words(a, size, d, symbols)
     )
-    return LanguageSample(alphabet=frozenset(symbols), bound=bound, members=members)
+    return LanguageSample(members)
 
 
 def image_set(sample: LanguageSample, op: str) -> LanguageSample:
     check_op(op)
-    return LanguageSample(
-        alphabet=sample.alphabet,
-        bound=sample.bound.image(op),
-        members=frozenset(apply_op(op, p) for p in sample.members),
-    )
+    return LanguageSample(frozenset(apply_op(op, p) for p in sample.members))
 
 
 def _image_question(
@@ -380,8 +374,8 @@ class _PairSearch:
         """True iff exactly one automaton accepts a picture of `lines` agreeing with `fixed`."""
         step = self._step
         pairs = self.start
-        for order, carrier in lines:
-            if carrier is not None:
+        for order, carried in lines:
+            if carried:
                 pairs = step(pairs, _ENTER)
             for cell in order:
                 pairs = step(pairs, fixed.get(cell, _ANY))
@@ -392,9 +386,9 @@ class _PairSearch:
 
 
 def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> list | None:
-    """A pair search's lines at `size`, each as (cells in reading order, carrier).
+    """A pair search's lines at `size`, each as (cells in reading order, carried).
 
-    The carrier is 0 where side 0 carries a relation, else None.  Every
+    `carried` is True where side 0 carries a relation on the line.  Every
     line is read in side 1's plan (`d1`'s when `swap`, else `d2`'s), and a
     one-cell line is never carried.  None where the two modes do not align
     (`scan._carried_lines`): no pair search decides them.
@@ -403,8 +397,7 @@ def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> l
     if carried is None:
         return None
     reading = scan_lines(size, d1 if swap else d2).reading
-    return [(line, 0 if carried[i % 2] and len(line) > 1 else None)
-            for i, line in enumerate(reading)]
+    return [(line, carried[i % 2] and len(line) > 1) for i, line in enumerate(reading)]
 
 
 class _Kept(threading.local):

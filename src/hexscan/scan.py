@@ -65,9 +65,6 @@ def modes_for_kind(kind: str) -> tuple[DirectionMode, ...]:
     return tuple(DirectionMode(kind, op) for op in OP_NAMES)
 
 
-ALL_MODES: tuple[DirectionMode, ...] = modes_for_kind(BOUSTROPHEDON) + modes_for_kind(RETURNING)
-
-
 @dataclass(frozen=True)
 class ScanPlan:
     """An ordered decomposition of a hexagon's cells into straight lines.

@@ -69,10 +69,6 @@ def check_op(op: str) -> str:
     return op
 
 
-def is_rotation(op: str) -> bool:
-    return check_op(op)[0] == "R"
-
-
 # The group law, read off the cube maps: applying h, then g, takes source
 # index ph[pg[i]] to image index i, negated when exactly one of them negates.
 _NAMES = {m: op for op, m in _CUBE_MAPS.items()}
@@ -97,12 +93,11 @@ def invert(op: str) -> str:
 # evaluates to, `reduce(compose, word, "R0")`: its rightmost letter first.
 _WORDS = {reduce(compose, word, "R0"): word for word in (
     ("r1", "r1"), *(("R1",) * k for k in range(1, 6)), *(("r1",) + ("R1",) * k for k in range(6)))}
-NORMAL_FORMS: dict[str, OpWord] = {op: _WORDS[op] for op in OP_NAMES}
 
 
 def normal_form(op: str) -> OpWord:
     """Word over {R1, r1} equal to op; leftmost letter is applied last."""
-    return NORMAL_FORMS[check_op(op)]
+    return _WORDS[check_op(op)]
 
 
 def transform_size(op: str, size: HexSize) -> HexSize:

@@ -7,8 +7,16 @@ import random
 import pytest
 
 from hexscan import (BORDER_SYMBOL, BOUSTROPHEDON, RETURNING, HexSize, apply_op, automaton,
-                     transform_size)
+                     modes_for_kind, transform_size)
 from hexscan.hexgrid import Cell, cells, offset, picture_from_cells
+
+# The 24 direction modes: the 12 boustrophedon ones, then the 12 returning ones
+ALL_MODES = modes_for_kind(BOUSTROPHEDON) + modes_for_kind(RETURNING)
+
+
+def is_rotation(op: str) -> bool:
+    """True for the rotations R0..R5, False for the reflections r0..r5."""
+    return op[0] == "R"
 
 
 def marker_picture(size: HexSize):

@@ -19,7 +19,6 @@ from hexscan import (
     RETURNING,
     apply_op,
     automaton,
-    bordered,
     canonical_mode,
     cell_count,
     compose,
@@ -27,6 +26,7 @@ from hexscan import (
     make_uniform,
     modes_for_kind,
     normal_form,
+    render_ascii,
     row_widths,
     run,
     scan_lines,
@@ -43,7 +43,7 @@ from hexscan.langtools import (
     exact_equivalent_for_size,
     image_set,
 )
-from hexscan.symmetry import OP_NAMES, is_rotation
+from hexscan.symmetry import OP_NAMES
 from hexscan.transforms import (
     family_normalizer,
     hbfa_to_hrfa,
@@ -52,9 +52,9 @@ from hexscan.transforms import (
 )
 from hexscan.automata import determinize, serialize_automaton
 
-from conftest import (evaluate_word, expected_output_states, fooling_witness, is_deterministic,
-                      m_all, m_none, marker_picture, picture_of_linearization, random_ghbfa,
-                      random_ghrfa)
+from conftest import (ALL_MODES, evaluate_word, expected_output_states, fooling_witness,
+                      is_deterministic, is_rotation, m_all, m_none, marker_picture,
+                      picture_of_linearization, random_ghbfa, random_ghrfa)
 
 AB = ("a", "b")
 BOUND2 = SizeBound.max_side(2)
@@ -120,16 +120,17 @@ def test_criterion_03_geometry():
         widths = row_widths(size)
         assert sum(widths) == cell_count(size)
         assert widths == widths[::-1]
-        b = bordered(make_uniform(size, "a"))
-        assert b.size == HexSize(size.l + 1, size.m + 1, size.n + 1)
+        # the `#` ring grows every side by one
+        rows = render_ascii(make_uniform(size, "a"), with_border=True).splitlines()
+        grown = HexSize(size.l + 1, size.m + 1, size.n + 1)
+        assert [len(row.split()) for row in rows] == row_widths(grown)
+        assert sum(row.count("#") for row in rows) == cell_count(grown) - cell_count(size)
     assert cell_count(HexSize(3, 3, 3)) == 19
     _report(3, time.time() - start, 1, "64 sizes")
 
 
 def test_criterion_04_scan_coverage():
     start = time.time()
-    from hexscan import ALL_MODES
-
     for size in _sizes_with_max_side(3):
         expect = set(cells(size))
         for mode in ALL_MODES:

@@ -8,7 +8,6 @@ from hexscan import (
     BOUSTROPHEDON,
     DirectionMode,
     HexSize,
-    ALL_MODES,
     RETURNING,
     apply_op,
     automaton,
@@ -29,8 +28,9 @@ from hexscan.hexgrid import Cell, FormatError, cells as size_cells, picture_from
 from hexscan.langtools import SizeBound, bounded_equivalent, equivalent, exact_equivalent_for_size
 from hexscan.transforms import hbfa_to_hrfa
 
-from conftest import (fooling_witness, is_deterministic, m_all, m_none, m_parity, m_plus_named,
-                      picture_of_linearization, random_ghbfa, random_ghrfa, symbol_at)
+from conftest import (ALL_MODES, fooling_witness, is_deterministic, m_all, m_none, m_parity,
+                      m_plus_named, picture_of_linearization, random_ghbfa, random_ghrfa,
+                      symbol_at)
 
 
 def test_validate_ok():
@@ -385,16 +385,22 @@ def test_run_frees_its_frontier_table_when_it_returns():
     pictures = [_random_picture(rng, HexSize(*(rng.randint(4, 9) for _ in range(3))), ("a", "b"))
                 for _ in range(6)]
     want = [_reference_run(a, p, mode)[0] for p in pictures for mode in modes_for_kind(RETURNING)]
-    # with the collector off, a table left in a reference cycle would stay
-    gc.collect()
-    gc.disable()
-    try:
-        got = [run(a, p, mode) for p in pictures for mode in modes_for_kind(RETURNING)]
-        left = sum(isinstance(o, automata._Frontier) for o in gc.get_objects())
-    finally:
-        gc.enable()
-    assert got == want and True in got and False in got
-    assert left == 0
+    # with the collector off, a table left in a reference cycle would stay;
+    # a traced run builds the same table and must free it as well
+    for trace in (False, True):
+        gc.collect()
+        gc.disable()
+        try:
+            got = [run(a, p, mode, trace=trace) for p in pictures
+                   for mode in modes_for_kind(RETURNING)]
+            left = sum(isinstance(o, automata._Frontier) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        if trace:
+            assert all(("q16" in t.steps[-1].states_after) is ok for ok, t in got)
+            got = [ok for ok, _ in got]
+        assert got == want and True in got and False in got, trace
+        assert left == 0, trace
 
 
 def test_run_reads_a_ten_thousand_cell_picture_in_every_mode():

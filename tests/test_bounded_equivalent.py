@@ -17,7 +17,6 @@ import random
 import pytest
 
 from hexscan import (
-    ALL_MODES,
     OP_NAMES,
     BORDER_SYMBOL,
     BOUSTROPHEDON,
@@ -46,7 +45,7 @@ from hexscan.langtools import (
 )
 from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
-from conftest import m_all, m_invalid, random_ghbfa, random_ghrfa
+from conftest import ALL_MODES, m_all, m_invalid, random_ghbfa, random_ghrfa
 
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)

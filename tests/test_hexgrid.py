@@ -7,7 +7,6 @@ from hexscan import (
     HexPicture,
     HexSize,
     ReservedSymbolError,
-    bordered,
     cell_count,
     make_uniform,
     parse_picture,
@@ -93,26 +92,46 @@ def _bordered_symbol(p, cell):
     return "#" if on_ring else symbol_at(p, Cell(r - 1, q))
 
 
+def _grown(size):
+    return HexSize(size.l + 1, size.m + 1, size.n + 1)
+
+
+def _bordered_rows(p):
+    """The rows of `render_ascii(p, with_border=True)`, each as its tokens."""
+    return [tuple(line.split()) for line in render_ascii(p, with_border=True).splitlines()]
+
+
+def _bordered_layout(p):
+    """The grown size's own rendering, its ring cells holding a stand-in for `#`."""
+    big = _grown(p.size)
+    stand_in = {c: _bordered_symbol(p, c).replace("#", "X") for c in cells(big)}
+    return render_ascii(picture_from_cells(big, stand_in)).replace("X", "#")
+
+
 def test_bordered_size_and_ring():
     p = make_uniform(HexSize(2, 2, 2), "a")
-    b = bordered(p)
-    assert b.size == HexSize(3, 3, 3)
-    ring = [c for c in cells(b.size) if _bordered_symbol(p, c) == "#"]
+    rows = _bordered_rows(p)
+    assert [len(row) for row in rows] == row_widths(HexSize(3, 3, 3))
+    ring = [c for c in cells(HexSize(3, 3, 3)) if _bordered_symbol(p, c) == "#"]
     assert len(ring) == cell_count(HexSize(3, 3, 3)) - cell_count(HexSize(2, 2, 2)) == 12
-    # rows() against the per-cell reference, with a distinct symbol in every
-    # inner cell so that any misplaced cell shows
+    assert sum(row.count("#") for row in rows) == 12
+    # the rendered rows against the per-cell reference, with a distinct symbol
+    # in every inner cell so that any misplaced cell shows, and laid out as
+    # the grown size is
     for size in itertools.starmap(HexSize, itertools.product(range(1, 5), repeat=3)):
         p = marker_picture(size)
-        b = bordered(p)
-        assert [len(row) for row in b.rows()] == row_widths(b.size), size
-        want = [_bordered_symbol(p, c) for c in cells(b.size)]
-        assert list(itertools.chain.from_iterable(b.rows())) == want, size
+        rows = _bordered_rows(p)
+        assert [len(row) for row in rows] == row_widths(_grown(size)), size
+        want = [_bordered_symbol(p, c) for c in cells(_grown(size))]
+        assert list(itertools.chain.from_iterable(rows)) == want, size
+        assert render_ascii(p, with_border=True) == _bordered_layout(p), size
 
 
 @given(sizes)
 def test_bordered_grows_each_side(size):
     p = make_uniform(size, "x")
-    assert bordered(p).size == HexSize(size.l + 1, size.m + 1, size.n + 1)
+    assert [len(row) for row in _bordered_rows(p)] == row_widths(_grown(size))
+    assert render_ascii(p, with_border=True) == _bordered_layout(p)
 
 
 @given(st.builds(HexSize, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),

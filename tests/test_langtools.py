@@ -30,8 +30,8 @@ from hexscan.automata import InvalidAutomatonError
 from hexscan.hexgrid import cells, picture_from_cells
 from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
-from conftest import (m_all, m_at_most, m_invalid, m_none, m_parity, m_some, random_ghbfa,
-                      random_ghrfa, symbol_at)
+from conftest import (ALL_MODES, m_all, m_at_most, m_invalid, m_none, m_parity, m_some,
+                      random_ghbfa, random_ghrfa, symbol_at)
 
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
@@ -102,14 +102,27 @@ def test_accepted_set_extremes():
 
 
 def test_accepted_set_matches_per_picture_runs(rng):
-    from hexscan import run
-
+    # every mode of both kinds, over a one-letter and a multi-letter symbol,
+    # so a fault of `_accepted_words` in one mode shows; machines are drawn
+    # until two of each kind and alphabet accept some but not all pictures
     bound = SizeBound.max_side(2)
-    for _ in range(4):
-        a = random_ghbfa(rng)
-        sample = accepted_set(a, CB, AB, bound)
-        expect = {p for p in enumerate_pictures(AB, bound) if run(a, p, CB)}
-        assert sample.members == frozenset(expect)
+    for alphabet in (AB, ("a", "ab")):
+        pictures = list(enumerate_pictures(alphabet, bound))
+        for draw in (random_ghbfa, random_ghrfa):
+            telling = 0
+            for _ in range(40):
+                a = draw(rng, alphabet=alphabet)
+                counts = set()
+                for mode in modes_for_kind(a.kind):
+                    sample = accepted_set(a, mode, alphabet, bound)
+                    expect = frozenset(p for p in pictures if run(a, p, mode))
+                    assert sample.members == expect, (mode.code, alphabet)
+                    counts.add(len(expect))
+                telling += bool(counts - {0, len(pictures)})
+                if telling == 2:
+                    break
+            else:
+                raise AssertionError(f"40 draws gave {telling} machines that tell pictures apart")
 
 
 def test_accepted_set_large_size_does_not_recurse():
@@ -310,8 +323,7 @@ def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
     lines = langtools._lines
 
     def walk_in_carrier_order(*args):
-        return [(order if carrier is None else order[::-1], carrier)
-                for order, carrier in lines(*args)]
+        return [(order[::-1] if carried else order, carried) for order, carried in lines(*args)]
 
     # the mutant asks from a slot of its own, and the module's slot is put
     # back when the test ends, so no later question meets its searches
@@ -328,9 +340,9 @@ def _plan_lines(d1, d2, size, swap):
     for l1, l2 in itertools.zip_longest(scan_lines(size, d1).reading,
                                         scan_lines(size, d2).reading, fillvalue=()):
         if l1 == l2:
-            lines.append((l1, None))
+            lines.append((l1, False))
         elif l1 == l2[::-1]:
-            lines.append((l1 if swap else l2, 0))
+            lines.append((l1 if swap else l2, True))
         else:
             return None
     return lines
@@ -340,7 +352,6 @@ def test_carrier_pattern_from_the_modes_matches_both_plans():
     # Every pair of modes at every size with max side <= 6, side 0 either
     # machine: where the modes align, `_lines` is the plans' comparison;
     # where they do not, the plans align only at sizes with a side of 1.
-    from hexscan import ALL_MODES
     from hexscan.langtools import _lines
 
     aligned = dropped = 0
@@ -350,6 +361,7 @@ def test_carrier_pattern_from_the_modes_matches_both_plans():
                 got, want = _lines(d1, d2, size, swap), _plan_lines(d1, d2, size, swap)
                 if got is not None:
                     assert got == want, (d1.code, d2.code, size, swap)
+                    assert all(type(carried) is bool for _, carried in got)
                     aligned += 1
                 elif want is not None:
                     assert min(size.as_tuple()) == 1, (d1.code, d2.code, size, swap)
@@ -428,8 +440,8 @@ def _set_walk(search, lines, fixed):
         return start, tuple(_union(rows, mask) for mask in idx0.value[sym])
 
     pairs = {(idx0.start_mask, idx1.start_mask)}
-    for order, carrier in lines:
-        if carrier is not None:
+    for order, carried in lines:
+        if carried:
             pairs = {((x0, identity), x1) for x0, x1 in pairs}
         for cell in order:
             at = fixed.get(cell)

@@ -1,7 +1,6 @@
 import pytest
 
 from hexscan import (
-    ALL_MODES,
     BOUSTROPHEDON,
     DirectionMode,
     HexSize,
@@ -15,7 +14,7 @@ from hexscan import (
 from hexscan.hexgrid import Cell, cells
 from hexscan.symmetry import OP_NAMES, invert, transform_size
 
-from conftest import cube_cell_map
+from conftest import ALL_MODES, cube_cell_map
 
 
 def all_small_sizes(limit):

@@ -29,10 +29,11 @@ from hexscan.transforms import (
     mirror_within_lines,
     point_reflection,
 )
-from hexscan.symmetry import OP_NAMES, is_rotation
+from hexscan.symmetry import OP_NAMES
 
 from conftest import (
     expected_output_states,
+    is_rotation,
     m_all,
     m_none,
     m_parity,
