@@ -25,9 +25,9 @@ The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
 it.  `equivalent`, the entry point `hexscan equiv` calls, answers
 `bounded_equivalent`'s question from one oracle per question, chosen by the
-two modes: one pair search over every size where they align, enumeration
-within a fixed budget of pictures elsewhere.  `bounded_equivalent` stays
-pure enumeration, the reference the other two are tested against.
+two modes: one pair search over every size where they align, and elsewhere,
+within a fixed budget of pictures, `bounded_equivalent` itself, which stays
+pure enumeration: the reference the exact oracle is tested against.
 """
 
 from __future__ import annotations
@@ -267,14 +267,8 @@ def bounded_equivalent(
     against.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
-    return _enumerated_walk(a1, image_mode, a2, d2, bound.image(op).sorted_sizes(), symbols)
-
-
-def _enumerated_walk(a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton, d2: DirectionMode,
-                     sizes: list[HexSize], symbols: tuple[str, ...]) -> HexPicture | None:
-    """The witness at the first of `sizes` with an `_enumerated_difference`, else None."""
-    for size in sizes:
-        witness = _enumerated_difference(a1, d1, a2, d2, size, symbols)
+    for size in bound.image(op).sorted_sizes():
+        witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
         if witness is not None:
             return witness
     return None
@@ -304,7 +298,8 @@ class _PairSearch:
     A step of a set on a read is the union of its pairs' successors; both
     are computed when first needed and kept on the search, so every
     `mismatch` call of one question, at any size and the greedy witness's
-    included, reuses the steps the calls before it made.
+    included, reuses the steps the calls before it made.  No pair is ever
+    dropped from a set: the pair of two empty frontiers never refutes.
     """
 
     def __init__(self, a0: HexAutomaton, a1: HexAutomaton, symbols: tuple[str, ...]):
@@ -313,8 +308,8 @@ class _PairSearch:
         self.symbols = symbols
         self.pairs: list[tuple] = []
         self.index: dict[tuple, int] = {}
-        # the pairs after which exactly one side accepts, and the pair (0, 0)
-        self.refuting = self.dead = 0
+        # the pairs after which exactly one side accepts
+        self.refuting = 0
         # read -> set of pairs -> its successor set; a one-pair set's entry is that pair's row
         self.steps: dict = {read: {} for read in (*symbols, BORDER_SYMBOL, _ANY, _ENTER)}
         self.start = self._bit((s0.start_mask, s1.start_mask))
@@ -330,8 +325,6 @@ class _PairSearch:
                 s0, s1 = self.sides
                 if bool(x0 & s0.finals_mask) != bool(x1 & s1.finals_mask):
                     self.refuting |= 1 << i
-                if not x0 | x1:
-                    self.dead |= 1 << i
         return 1 << i
 
     def _row(self, i: int, read) -> int:
@@ -370,34 +363,35 @@ class _PairSearch:
             memo[pairs] = nxt
         return nxt
 
-    def mismatch(self, lines: list, fixed: dict[Cell, str]) -> bool:
-        """True iff exactly one automaton accepts a picture of `lines` agreeing with `fixed`."""
+    def mismatch(self, lines: tuple, fixed: dict[Cell, str]) -> bool:
+        """True iff exactly one automaton accepts a picture of `lines` agreeing with `fixed`.
+
+        Every line and its `#` are read; refutation is read once, at the end.
+        """
         step = self._step
         pairs = self.start
-        for order, carried in lines:
-            if carried:
+        reading, carried = lines
+        for line, enter in zip(reading, itertools.cycle(carried)):
+            if enter:
                 pairs = step(pairs, _ENTER)
-            for cell in order:
+            for cell in line:
                 pairs = step(pairs, fixed.get(cell, _ANY))
-            pairs = step(pairs, BORDER_SYMBOL) & ~self.dead
-            if not pairs:
-                return False
+            pairs = step(pairs, BORDER_SYMBOL)
         return bool(pairs & self.refuting)
 
 
-def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> list | None:
-    """A pair search's lines at `size`, each as (cells in reading order, carried).
+def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> tuple | None:
+    """A pair search's lines at `size`: a plan's reading and the carried pattern.
 
-    `carried` is True where side 0 carries a relation on the line.  Every
-    line is read in side 1's plan (`d1`'s when `swap`, else `d2`'s), and a
-    one-cell line is never carried.  None where the two modes do not align
-    (`scan._carried_lines`): no pair search decides them.
+    Every line is read as side 1's plan reads it (`d1`'s plan when `swap`,
+    else `d2`'s), and side 0 carries a relation on line i where
+    `carried[i % 2]`, the (even, odd) pattern of `scan._carried_lines`.
+    None where the two modes do not align: no pair search decides them.
     """
     carried = _carried_lines(d1, d2)
     if carried is None:
         return None
-    reading = scan_lines(size, d1 if swap else d2).reading
-    return [(line, carried[i % 2] and len(line) > 1) for i, line in enumerate(reading)]
+    return scan_lines(size, d1 if swap else d2).reading, carried
 
 
 class _Kept(threading.local):
@@ -444,7 +438,7 @@ def exact_equivalent_for_size(
     return _searched_difference(_kept.search, size, lines)
 
 
-def _searched_difference(search: _PairSearch, size: HexSize, lines: list) -> HexPicture | None:
+def _searched_difference(search: _PairSearch, size: HexSize, lines: tuple) -> HexPicture | None:
     """The smallest picture of `lines` at `size` on which `search`'s two machines disagree."""
     symbols = search.symbols
     fixed: dict[Cell, str] = {}
@@ -477,11 +471,12 @@ def equivalent(
 
     Same signature, contract and walk of the image sizes as
     `bounded_equivalent`.  Where the image mode and d2 align
-    (`scan._carried_lines`), one pair search decides every size, on lines
-    built as the walk reaches each size.  Otherwise its enumeration walk
-    answers, unless the bound's pictures, counted from its cell counts alone
-    (an op keeps them), exceed `_ENUMERATION_BUDGET`: then the question is
-    refused with a ValueError before any size is imaged or plan built.
+    (`scan._carried_lines`), one pair search decides every size, reading
+    each size's plan with the two modes' carried pattern.  Otherwise
+    `bounded_equivalent` answers, unless the bound's pictures, counted from
+    its cell counts alone (an op keeps them), exceed `_ENUMERATION_BUDGET`:
+    then the question is refused with a ValueError before any size is
+    imaged or plan built.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
     if _carried_lines(image_mode, d2) is None:
@@ -490,7 +485,7 @@ def equivalent(
         if any(total > _ENUMERATION_BUDGET for total in itertools.accumulate(counts)):
             raise ValueError(f"the question needs more than {_ENUMERATION_BUDGET} pictures "
                              "enumerated where the two plans do not align")
-        return _enumerated_walk(a1, image_mode, a2, d2, bound.image(op).sorted_sizes(), symbols)
+        return bounded_equivalent(a1, d1, a2, d2, symbols, bound, op)
     swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
     search = _PairSearch(a2, a1, symbols) if swap else _PairSearch(a1, a2, symbols)
     for size in bound.image(op).sorted_sizes():

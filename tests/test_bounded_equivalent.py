@@ -29,6 +29,7 @@ from hexscan import (
     determinize,
     invert,
     langtools,
+    make_uniform,
     scan_lines,
     serialize_automaton,
     serialize_picture,
@@ -45,7 +46,7 @@ from hexscan.langtools import (
 )
 from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
-from conftest import ALL_MODES, m_all, m_invalid, random_ghbfa, random_ghrfa
+from conftest import ALL_MODES, m_all, m_invalid, m_some, random_ghbfa, random_ghrfa
 
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
@@ -219,6 +220,20 @@ def test_inputs_checked_before_enumeration(case, monkeypatch):
     if case.startswith("budget"):
         assert str(info.value) == ("the question needs more than 1048576 pictures enumerated "
                                    "where the two plans do not align")
+
+
+def test_equivalent_answers_a_question_that_fills_its_budget(monkeypatch):
+    # an R1 question does not align; at (1,1,4) it needs exactly 16
+    # pictures over {a,b}, and (1,1,1) adds 2 more
+    monkeypatch.setattr(langtools, "_ENUMERATION_BUDGET", 16)
+    question = (m_all(), CB, m_some("a"), CB, AB)
+    full = SizeBound(frozenset({HexSize(1, 1, 4)}))
+    w = equivalent(*question, full, "R1")
+    assert w == bounded_equivalent(*question, full, "R1") == make_uniform(HexSize(1, 4, 1), "b")
+    with pytest.raises(ValueError) as info:
+        equivalent(*question, SizeBound(full.sizes | {HexSize(1, 1, 1)}), "R1")
+    assert str(info.value) == ("the question needs more than 16 pictures enumerated "
+                               "where the two plans do not align")
 
 
 @pytest.mark.parametrize("args", [("--d1", "R:R0"), ("--d2", "R:r3"), ("--op", "R6")])

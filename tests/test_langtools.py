@@ -188,9 +188,18 @@ def _sizes_up_to_cells(most):
             if cell_count(s) <= most]
 
 
+def _carries_a_line_of_one_cell(d1, d2, size):
+    """Whether side 0 of a pair search carries a relation on a line of one cell at `size`."""
+    from hexscan.langtools import _lines
+
+    reading, carried = _lines(d1, d2, size, False)
+    return any(carried[i % 2] and len(line) == 1 for i, line in enumerate(reading))
+
+
 def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
     # verdict and identical smallest witness, for every kind pairing and
-    # every size of at most 13 cells
+    # every size of at most 13 cells, sizes where a line of one cell is
+    # carried included
     from hexscan import DirectionMode, determinize
 
     # sparse languages keep the enumeration cheap at 13 cells
@@ -203,7 +212,7 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
     pools = {BOUSTROPHEDON: boustrophedon, RETURNING: returning}
     kinds = [(BOUSTROPHEDON, BOUSTROPHEDON), (BOUSTROPHEDON, RETURNING),
              (RETURNING, BOUSTROPHEDON), (RETURNING, RETURNING)]
-    unequal = 0
+    unequal = one_cell_carried = 0
     for size in _sizes_up_to_cells(13):
         single = SizeBound(frozenset({size}))
         for (k1, k2), element in itertools.product(kinds, ("R0", "r1", "R3")):
@@ -213,10 +222,11 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
             assert exact == bounded_equivalent(a1, d1, a2, d2, AB, single), (
                 size, k1, k2, element)
             unequal += exact is not None
-    assert unequal > 100
+            one_cell_carried += _carries_a_line_of_one_cell(d1, d2, size)
+    assert unequal > 100 and one_cell_carried > 100, (unequal, one_cell_carried)
     # r0-relative modes g and r0 after g: the plans read every line in
     # opposite orientations, or, across kinds, every even line
-    unequal = 0
+    unequal = one_cell_carried = 0
     for size in _sizes_up_to_cells(13):
         single = SizeBound(frozenset({size}))
         for (k1, k2), g in itertools.product(kinds, ("R0", "R1", "r1", "r4")):
@@ -227,7 +237,8 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
                 assert exact == bounded_equivalent(a1, d1, a2, d2, AB, single), (
                     size, d1.code, d2.code)
                 unequal += exact is not None
-    assert unequal > 100
+                one_cell_carried += _carries_a_line_of_one_cell(d1, d2, size)
+    assert unequal > 100 and one_cell_carried > 100, (unequal, one_cell_carried)
 
 
 def test_exact_oracle_agrees_with_enumeration_on_dense_languages(rng):
@@ -323,7 +334,9 @@ def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
     lines = langtools._lines
 
     def walk_in_carrier_order(*args):
-        return [(order[::-1] if carried else order, carried) for order, carried in lines(*args)]
+        reading, carried = lines(*args)
+        return tuple(line[::-1] if carried[i % 2] else line
+                     for i, line in enumerate(reading)), carried
 
     # the mutant asks from a slot of its own, and the module's slot is put
     # back when the test ends, so no later question meets its searches
@@ -350,7 +363,9 @@ def _plan_lines(d1, d2, size, swap):
 
 def test_carrier_pattern_from_the_modes_matches_both_plans():
     # Every pair of modes at every size with max side <= 6, side 0 either
-    # machine: where the modes align, `_lines` is the plans' comparison;
+    # machine: where the modes align, `_lines` reads the plans' lines, and
+    # carries each line of more than one cell that the plans read in
+    # opposite orientations (a line of one cell reads alike either way);
     # where they do not, the plans align only at sizes with a side of 1.
     from hexscan.langtools import _lines
 
@@ -360,8 +375,12 @@ def test_carrier_pattern_from_the_modes_matches_both_plans():
             for swap in (False, True):
                 got, want = _lines(d1, d2, size, swap), _plan_lines(d1, d2, size, swap)
                 if got is not None:
-                    assert got == want, (d1.code, d2.code, size, swap)
-                    assert all(type(carried) is bool for _, carried in got)
+                    reading, carried = got
+                    assert want is not None, (d1.code, d2.code, size, swap)
+                    assert reading == tuple(line for line, _ in want)
+                    assert all(type(c) is bool for c in carried) and len(carried) == 2
+                    assert all(carried[i % 2] == c for i, (line, c) in enumerate(want)
+                               if len(line) > 1), (d1.code, d2.code, size, swap)
                     aligned += 1
                 elif want is not None:
                     assert min(size.as_tuple()) == 1, (d1.code, d2.code, size, swap)
@@ -424,7 +443,8 @@ def _set_walk(search, lines, fixed):
 
     The pair search's earlier form, kept as its reference: every pair is
     stepped on every symbol a cell allows, the set is rebuilt after every
-    read, and the pair (0, 0) is dropped after every `#`.
+    read, the pair (0, 0) is dropped after every `#`, and a line of one
+    cell is read uncarried.
     """
     from hexscan.automata import _union
 
@@ -440,8 +460,9 @@ def _set_walk(search, lines, fixed):
         return start, tuple(_union(rows, mask) for mask in idx0.value[sym])
 
     pairs = {(idx0.start_mask, idx1.start_mask)}
-    for order, carried in lines:
-        if carried:
+    reading, pattern = lines
+    for i, order in enumerate(reading):
+        if pattern[i % 2] and len(order) > 1:
             pairs = {((x0, identity), x1) for x0, x1 in pairs}
         for cell in order:
             at = fixed.get(cell)
@@ -648,6 +669,20 @@ def test_exact_oracle_witness_without_enumeration(side, monkeypatch):
     w = exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size)
     assert time.perf_counter() - start < 1.0
     assert w == make_uniform(size, "b")
+
+
+def test_exact_oracle_defaults_to_the_symbols_both_machines_read():
+    # machines over {a,b} and {a,c}: with no alphabet given the question is
+    # asked over {a}, where some cell is always `a` and parity tells sizes
+    # of odd cell count from even ones
+    all_ac = m_all(alphabet=("a", "c"))
+    for size in (HexSize(1, 1, 1), HexSize(1, 2, 2), HexSize(2, 2, 2)):
+        single = SizeBound(frozenset({size}))
+        assert exact_equivalent_for_size(m_some("a"), CB, all_ac, CB, size) is None
+        w = exact_equivalent_for_size(m_parity(alphabet=AB), CB, all_ac, CB, size)
+        assert w == bounded_equivalent(m_parity(alphabet=AB), CB, all_ac, CB, ("a",), single)
+        assert (w is None) == (cell_count(size) % 2 == 0), size
+    assert w == make_uniform(HexSize(2, 2, 2), "a")
 
 
 def test_exact_oracle_cross_kind():
