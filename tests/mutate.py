@@ -2,12 +2,11 @@
 
 Run from the root of a checkout:
 
-    python tests/mutate.py                     # every mutant, one after another
-    python tests/mutate.py --list              # the mutants alone, no test run
-    python tests/mutate.py --only _lines --only _PairSearch
+    python tests/mutate.py
 
-A mutant changes one operator or constant inside one of the functions or
-classes `TARGETS` names; annotations are never changed.  The operators
+It runs every mutant, one after another; to mutate fewer definitions, edit
+`TARGETS`.  A mutant changes one operator or constant inside one of the
+functions or classes `TARGETS` names; annotations are never changed.  The operators
 (DeMillo, Lipton & Sayward, IEEE Computer 1978; Offutt et al., ACM TOSEM
 1996): each comparison swapped for its neighbour; `|` and `&`, `+` and `-`
 swapped, `^` made `|`; `and` and `or` swapped; `not` and `~` dropped; an int
@@ -25,7 +24,6 @@ pass first.  The file name keeps pytest from collecting this script.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import resource
@@ -151,28 +149,16 @@ def _run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[str, str]:
     return "killed", failed[0] if failed else f"pytest exit {done.returncode}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Mutation analysis of hexscan's verdict code.")
-    parser.add_argument("--list", action="store_true", help="list the mutants and run nothing")
-    parser.add_argument("--only", action="append", metavar="NAME",
-                        help="mutate only this function or class (repeatable)")
-    args = parser.parse_args(argv)
+def main() -> int:
     root = Path.cwd()
     if not (root / "src" / "hexscan").is_dir():
         print("run from the root of a hexscan checkout", file=sys.stderr)
         return 1
     plan = []
     for module, names in TARGETS.items():
-        names = tuple(n for n in names if not args.only or n in args.only)
-        if names:
-            source = (root / "src" / module).read_text()
-            for k, (name, line, what, _) in enumerate(_mutations(ast.parse(source), names)):
-                plan.append((module, names, source, k, name, line, what))
-    if args.list:
-        for module, _, _, _, name, line, what in plan:
-            print(f"{module}:{line} {name}: {what}")
-        print(f"{len(plan)} mutants")
-        return 0
+        source = (root / "src" / module).read_text()
+        for k, (name, line, what, _) in enumerate(_mutations(ast.parse(source), names)):
+            plan.append((module, names, source, k, name, line, what))
     counts = {"killed": 0, "survived": 0, "timed out": 0}
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="hexscan-mutants-") as scratch:
@@ -181,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(root / part, copy / part, ignore=ignore)
         shutil.copy(root / "pyproject.toml", copy)
-        for module in {module for module, *_ in plan}:
+        for module in TARGETS:
             target = copy / "src" / module
             target.write_text(ast.unparse(ast.parse(target.read_text())))
             status, first = _run_tests(copy, TESTS[module])

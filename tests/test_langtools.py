@@ -518,6 +518,36 @@ def test_a_reused_pair_search_answers_as_a_fresh_one_and_the_set_walk():
     assert min(answers.values()) > 200, answers
 
 
+def test_a_line_of_one_cell_carried_reads_as_the_set_walk_reads_it_uncarried():
+    # the pair search enters the relation on every line of a carried parity;
+    # on a line of one cell that must give the frontier the set walk's
+    # direct read gives
+    from hexscan.langtools import _PairSearch, _lines
+
+    rng = random.Random(1818)
+    sizes = (HexSize(2, 1, 1), HexSize(3, 1, 1), HexSize(1, 1, 2), HexSize(2, 1, 3),
+             HexSize(3, 1, 2))
+    answers = {True: 0, False: 0}
+    for draw in range(40):
+        d1, d2 = _modes(draw % 2, rng.choice(G))
+        a1, a2 = _machine(rng, d1), _machine(rng, d2)
+        swap = len(a2.states) < len(a1.states)
+        search = _PairSearch(*((a2, a1) if swap else (a1, a2)), AB)
+        for size in sizes:
+            lines = _lines(d1, d2, size, swap)
+            reading, carried = lines
+            if not any(carried[i % 2] and len(line) == 1 for i, line in enumerate(reading)):
+                continue
+            grid = list(cells(size))
+            for _ in range(4):
+                pinned = rng.sample(grid, rng.randint(0, len(grid)))
+                fixed = {c: rng.choice(AB) for c in pinned}
+                want = _set_walk(search, lines, fixed)
+                assert search.mismatch(lines, fixed) == want, (d1.code, d2.code, size)
+                answers[want] += 1
+    assert min(answers.values()) > 100, answers
+
+
 KEPT_SIZES = (HexSize(1, 1, 2), HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2),
               HexSize(1, 3, 3))
 
