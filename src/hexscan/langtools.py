@@ -14,20 +14,25 @@ kind and alphabet.  There are two oracles:
     it builds one picture, the witness (`accepted_set` builds every member,
     for callers that want pictures);
   * the exact per-size oracle (`exact_equivalent_for_size`) enumerates no
-    pictures.  For two modes that align (`scan._carried_lines`), a pair
-    search (`_PairSearch`) advances the set of reachable pairs of frontier
-    sets one read at a time, and a counterexample is built greedily, cell by
-    cell in row-major order, each cell fixed to the first symbol for which a
-    mismatch is still reachable.  This oracle alone keeps the last
+    pictures.  For two modes that read the same lines, in the same or the
+    reverse order (`scan._carried_lines`), a pair search (`_PairSearch`)
+    advances the set of reachable pairs of frontier sets one read at a
+    time, and a counterexample is built greedily, cell by cell in row-major
+    order, each cell fixed to the first symbol for which a mismatch is
+    still reachable.  Where the order is reversed (relative element r3 or
+    R3), one side's rule table is transposed (`_transposed`), which makes
+    the question one in the same order.  This oracle alone keeps the last
     question's search, one per thread, for its next call to reuse.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
 it.  `equivalent`, the entry point `hexscan equiv` calls, answers
 `bounded_equivalent`'s question from one oracle per question, chosen by the
-two modes: one pair search over every size where they align, and elsewhere,
-within a fixed budget of pictures, `bounded_equivalent` itself, which stays
-pure enumeration: the reference the exact oracle is tested against.
+two modes: one pair search over every size where they read the same lines,
+in either order, and elsewhere (the questions whose op turns the line
+family), within a fixed budget of pictures, `bounded_equivalent` itself,
+which stays pure enumeration: the reference the exact oracle is tested
+against.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .hexgrid import (
     row_widths,
 )
 from .symmetry import apply_op, check_op, compose, invert, transform_size
-from .automata import HexAutomaton, _check_question, _union
+from .automata import HexAutomaton, IndexedAutomaton, _check_question, _union
 from .scan import DirectionMode, _carried_lines, scan_lines
 
 
@@ -283,27 +288,28 @@ _ENTER = ()
 class _PairSearch:
     """Reachable frontier pairs of two automata over one alphabet, as bitmasks.
 
-    One search serves one question, the two machines and the symbols, at
-    every size and in every pair of modes: a pair's successors on a read
-    depend on neither.  Side 0 is the automaton with fewer states (the
-    first on a tie), and it carries the relation on a line the two plans
-    read in opposite orientations: `(F, M)`, with `F` its frontier at the
-    line's start and `M[p]` the states reachable from `p` by reading the
-    line's symbols so far in reverse, one bitmask per state.  A symbol w
-    updates it as M'[p] = union of M[q] over q in delta(p, w); the line's
-    `#` applies `M` to `F` and steps the frontier that gives.  Each pair
-    `(x0, x1)` the search meets gets the next bit index, so a set of pairs
-    is one int.  A read is a symbol, `#`, `_ANY` (a free cell) or `_ENTER`
-    (a carried line begins, `x0` becoming the relation `(x0, identity)`).
-    A step of a set on a read is the union of its pairs' successors; both
-    are computed when first needed and kept on the search, so every
-    `mismatch` call of one question, at any size and the greedy witness's
-    included, reuses the steps the calls before it made.  No pair is ever
-    dropped from a set: the pair of two empty frontiers never refutes.
+    One search serves one question, the two sides and the symbols, at every
+    size and in every pair of modes: a pair's successors on a read depend on
+    neither.  Each side is an `IndexedAutomaton`: a machine's rule table, or
+    for side 0 its transposition (`_transposed`).  Side 0 carries the
+    relation on a line the two plans read in opposite orientations:
+    `(F, M)`, with `F` its frontier at the line's start and `M[p]` the
+    states reachable from `p` by reading the line's symbols so far in
+    reverse, one bitmask per state.  A symbol w updates it as
+    M'[p] = union of M[q] over q in delta(p, w); the line's `#` applies `M`
+    to `F` and steps the frontier that gives.  Each pair `(x0, x1)` the
+    search meets gets the next bit index, so a set of pairs is one int.  A
+    read is a symbol, `#`, `_ANY` (a free cell) or `_ENTER` (a carried line
+    begins, `x0` becoming the relation `(x0, identity)`).  A step of a set
+    on a read is the union of its pairs' successors; both are computed when
+    first needed and kept on the search, so every `mismatch` call of one
+    question, at any size and the greedy witness's included, reuses the
+    steps the calls before it made.  No pair is ever dropped from a set:
+    the pair of two empty frontiers never refutes.
     """
 
-    def __init__(self, a0: HexAutomaton, a1: HexAutomaton, symbols: tuple[str, ...]):
-        s0, s1 = self.sides = (a0._indexed, a1._indexed)
+    def __init__(self, s0: IndexedAutomaton, s1: IndexedAutomaton, symbols: tuple[str, ...]):
+        self.sides = (s0, s1)
         self.identity = tuple(1 << p for p in range(len(s0.names)))
         self.symbols = symbols
         self.pairs: list[tuple] = []
@@ -380,22 +386,63 @@ class _PairSearch:
         return bool(pairs & self.refuting)
 
 
-def _lines(d1: DirectionMode, d2: DirectionMode, size: HexSize, swap: bool) -> tuple | None:
-    """A pair search's lines at `size`: a plan's reading and the carried pattern.
+def _transposed(side: IndexedAutomaton) -> IndexedAutomaton:
+    """`side` read backwards, with one more state, top (bit n): a reversed-order search's side 0.
 
-    Every line is read as side 1's plan reads it (`d1`'s plan when `swap`,
-    else `d2`'s), and side 0 carries a relation on line i where
-    `carried[i % 2]`, the (even, odd) pattern of `scan._carried_lines`.
-    None where the two modes do not align: no pair search decides them.
+    Where `side` accepts L1 # L2 # ... # LK #, this accepts
+    LK^R # ... # L2^R # L1^R #, and no other word of nonempty lines.  Every
+    rule is turned around; the start is the finals stepped back over `#`,
+    and the original start steps on `#` into top, which has no successors
+    and is the only final.  Lines are never empty, so a top entered at an
+    inner `#` dies at the next cell.
     """
-    carried = _carried_lines(d1, d2)
-    if carried is None:
-        return None
-    return scan_lines(size, d1 if swap else d2).reading, carried
+    n = len(side.names)
+    value = {}
+    for sym, rows in side.value.items():
+        back = [0] * (n + 1)
+        for p, row in enumerate(rows):
+            while row:
+                low = row & -row
+                row ^= low
+                back[low.bit_length() - 1] |= 1 << p
+        value[sym] = back
+    border = value[BORDER_SYMBOL]
+    start = _union(border, side.finals_mask)
+    border[side.start_mask.bit_length() - 1] |= 1 << n
+    return IndexedAutomaton((*side.names, "top"), {sym: tuple(rows) for sym, rows in value.items()},
+                            start, 1 << n)
+
+
+def _sides(a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton, d2: DirectionMode) -> tuple:
+    """A pair search's sides 0 and 1, as (machine, mode): side 0 has fewer states, a1 on a tie."""
+    return ((a2, d2), (a1, d1)) if len(a2.states) < len(a1.states) else ((a1, d1), (a2, d2))
+
+
+def _search(a0: HexAutomaton, a1: HexAutomaton, symbols: tuple[str, ...],
+            transposed: bool) -> _PairSearch:
+    """The pair search of side 0 `a0`, read transposed where `transposed`, against side 1 `a1`."""
+    s0 = a0._indexed
+    return _PairSearch(_transposed(s0) if transposed else s0, a1._indexed, symbols)
+
+
+def _lines(order: tuple, mode1: DirectionMode, size: HexSize) -> tuple:
+    """A pair search's lines at `size`: side 1's plan's reading and the carried pattern.
+
+    Every line is read as side 1's plan, in `mode1`, reads it.  `order` is
+    `scan._carried_lines` of the two sides' modes, and side 0 carries a
+    relation on line i where `carried[i % 2]`: the (even, odd) pattern it
+    gives at the plan's line count.
+    """
+    reading = scan_lines(size, mode1).reading
+    return reading, order[1][len(reading) % 2]
 
 
 class _Kept(threading.local):
-    """This thread's last question, (side-0 machine, side-1 machine, symbols), and its search."""
+    """This thread's last question and its search.
+
+    The question is (side-0 machine, side-1 machine, symbols, whether side
+    0 is read transposed).
+    """
 
     key = search = None
 
@@ -416,26 +463,28 @@ def exact_equivalent_for_size(
     Otherwise the smallest picture by `picture_sort_key` that exactly one
     side accepts is returned.  The alphabet defaults to the symbols both
     automata share and must be non-empty.  Each (automaton, mode) pair is
-    checked as every oracle checks it, and the two modes must align
-    (`scan._carried_lines`), as B:g and R:g, or g and r0 after g, do;
-    otherwise ValueError, even at a size with a side of 1 where the two
-    plans coincide.  No picture is enumerated.  This thread keeps the last
-    question's search (the two machines and the symbols) for consecutive
-    calls on it, at any size and in any modes; a different question
-    replaces it.
+    checked as every oracle checks it, and the two modes must read the same
+    lines, in the same or the reverse order (`scan._carried_lines`), as B:g
+    and R:g, g and r0 after g, or g and r3 or R3 after g, do; otherwise
+    ValueError, even at a size with a side of 1 where the two plans
+    coincide.  No picture is enumerated.  This thread keeps the last
+    question's search (the two machines, the symbols and whether the order
+    is reversed) for consecutive calls on it, at any size and in any modes;
+    a different question replaces it.
     """
     if alphabet is None:
         alphabet = a1.alphabet & a2.alphabet
     symbols, _ = _image_question(a1, d1, a2, d2, alphabet, "R0")
-    swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
-    lines = _lines(d1, d2, size, swap)
-    if lines is None:
+    (a, mode0), (b, mode1) = _sides(a1, d1, a2, d2)
+    order = _carried_lines(mode0, mode1)
+    if order is None:
         raise ValueError("exact per-size comparison requires plans reading the same lines "
-                         f"in the same order; {d1.code} and {d2.code} differ at {size}")
-    key = (a2, a1, symbols) if swap else (a1, a2, symbols)
+                         f"in the same or the reverse order; {d1.code} and {d2.code} differ "
+                         f"at {size}")
+    key = (a, b, symbols, order[0])
     if _kept.key != key:
-        _kept.key, _kept.search = key, _PairSearch(*key)
-    return _searched_difference(_kept.search, size, lines)
+        _kept.key, _kept.search = key, _search(*key)
+    return _searched_difference(_kept.search, size, _lines(order, mode1, size))
 
 
 def _searched_difference(search: _PairSearch, size: HexSize, lines: tuple) -> HexPicture | None:
@@ -470,26 +519,29 @@ def equivalent(
     """`bounded_equivalent`'s answer, from one oracle chosen by the two modes.
 
     Same signature, contract and walk of the image sizes as
-    `bounded_equivalent`.  Where the image mode and d2 align
-    (`scan._carried_lines`), one pair search decides every size, reading
-    each size's plan with the two modes' carried pattern.  Otherwise
+    `bounded_equivalent`.  Where the image mode and d2 read the same lines,
+    in the same or the reverse order (`scan._carried_lines`), one pair
+    search decides every size, reading each size's plan with the carried
+    pattern the two modes and its line count give; in reverse order its
+    side 0 is read transposed.  Otherwise
     `bounded_equivalent` answers, unless the bound's pictures, counted from
     its cell counts alone (an op keeps them), exceed `_ENUMERATION_BUDGET`:
     then the question is refused with a ValueError before any size is
     imaged or plan built.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
-    if _carried_lines(image_mode, d2) is None:
+    (a, mode0), (b, mode1) = _sides(a1, image_mode, a2, d2)
+    order = _carried_lines(mode0, mode1)
+    if order is None:
         # two symbols on 21 cells are over the budget: no larger power is computed
         counts = (len(symbols) ** min(cell_count(size), 21) for size in bound.sizes)
         if any(total > _ENUMERATION_BUDGET for total in itertools.accumulate(counts)):
             raise ValueError(f"the question needs more than {_ENUMERATION_BUDGET} pictures "
                              "enumerated where the two plans do not align")
         return bounded_equivalent(a1, d1, a2, d2, symbols, bound, op)
-    swap = len(a2.states) < len(a1.states)  # whether a2 is side 0
-    search = _PairSearch(a2, a1, symbols) if swap else _PairSearch(a1, a2, symbols)
+    search = _search(a, b, symbols, order[0])
     for size in bound.image(op).sorted_sizes():
-        witness = _searched_difference(search, size, _lines(image_mode, d2, size, swap))
+        witness = _searched_difference(search, size, _lines(order, mode1, size))
         if witness is not None:
             return witness
     return None

@@ -157,16 +157,31 @@ def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
 
 
 @lru_cache(maxsize=None)  # one entry per pair of the 24 modes at most
-def _carried_lines(d1: DirectionMode, d2: DirectionMode) -> tuple[bool, bool] | None:
-    """Whether `d1` and `d2` read the even lines, and the odd ones, in opposite orientations.
+def _carried_lines(
+    d0: DirectionMode, d1: DirectionMode
+) -> tuple[bool, tuple[tuple[bool, bool], tuple[bool, bool]]] | None:
+    """How a pair search reads side 0, in mode `d0`, along `d1`'s plan: `(reversed, carried)`.
 
-    Two modes align, reading the same lines in the same order at every size,
-    exactly when d2's element after d1's inverse is R0 or r0, which reverses
-    every line in place; None where they do not.  r0 flips both parities,
-    and a kind that reads odd lines backwards flips the odd ones.
+    Two modes read the same lines at every size exactly when d1's element
+    after d0's inverse is R0 or r0, which keep the line order, or R3 or r3,
+    which reverse it; None where it is another.  Where the order is
+    reversed, side 0 is read transposed (`langtools._transposed`): last
+    line first and each line backwards, so at a size of K lines, line i of
+    d1's plan is line K - 1 - i of d0's.  `carried[K % 2]` is the (even,
+    odd) pattern of the lines of d1's plan that side 0 reads against d1's
+    orientation.  Between two returning modes that is every line under r0
+    (each line turned in place) and r3 (each line kept, and the
+    transposition turns it), and none under R0 and R3.  A kind that reads
+    odd lines backwards flips its own odd lines: d1's line i, and d0's line
+    K - 1 - i, which is odd where i and K have the same parity.
     """
-    relative = compose(d2.element, invert(d1.element))
-    if relative not in ("R0", "r0"):
-        return None
-    flipped = relative == "r0"
-    return flipped, flipped != (_ODD_LINES_BACKWARD[d1.kind] != _ODD_LINES_BACKWARD[d2.kind])
+    relative = compose(d1.element, invert(d0.element))
+    back0, back1 = _ODD_LINES_BACKWARD[d0.kind], _ODD_LINES_BACKWARD[d1.kind]
+    if relative in ("R0", "r0"):
+        flipped = relative == "r0"
+        pattern = (flipped, flipped ^ back0 ^ back1)
+        return False, (pattern, pattern)
+    if relative in ("R3", "r3"):
+        flipped = relative == "r3"
+        return True, ((flipped ^ back0, flipped ^ back1), (flipped, flipped ^ back0 ^ back1))
+    return None

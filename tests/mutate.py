@@ -36,7 +36,8 @@ from pathlib import Path
 
 # module under src/ -> the top-level functions and classes whose code is mutated
 TARGETS = {
-    "hexscan/langtools.py": ("_PairSearch", "_lines", "_searched_difference", "equivalent",
+    "hexscan/langtools.py": ("_PairSearch", "_transposed", "_sides", "_search", "_lines",
+                             "_searched_difference", "equivalent",
                              "exact_equivalent_for_size", "bounded_equivalent",
                              "_enumerated_difference", "_accepted_words"),
     "hexscan/scan.py": ("_carried_lines",),

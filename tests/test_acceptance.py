@@ -399,22 +399,27 @@ def test_criterion_13_pools_tell_mutants_apart():
 
 
 def test_criterion_14_within_line_mirror_exact_to_side_6():
-    """Criteria 8 and 9's r0 questions, by the exact oracle at max side 6.
+    """Criteria 8 and 9's questions, by the exact oracle at max side 6.
 
-    The same seeded pools, at every size with max side at most 6: the r0
-    clause of criterion 8, and criterion 9's question for each rotation g,
-    asked one size at a time.  Modes g and r0 after g read the same lines
-    in opposite orientations, which the exact oracle answers directly.
+    The same seeded pools, at every size with max side at most 6, each
+    question asked at one size after another: criterion 8's r0, r3 and
+    composed-R3 clauses, and criterion 9's question for each of the 12
+    elements g.  Modes g and r0 after g read the same lines in opposite
+    orientations; g and r3 or R3 after g read them in reverse order, which
+    the exact oracle answers by reading one side transposed.
     """
     start = time.time()
     sizes = _sizes_with_max_side(6)
-    r0 = DirectionMode(RETURNING, "r0")
+    r0, r3, R3 = (DirectionMode(RETURNING, e) for e in ("r0", "r3", "R3"))
     rng = random.Random(808)
     for i in range(30):
         a = random_ghrfa(rng, max_states=3)
         mirrored = mirror_within_lines(a)
-        for size in sizes:
-            assert exact_equivalent_for_size(a, r0, mirrored, CR, size) is None, (i, size)
+        for d1, built in ((r0, mirrored), (r3, mirror_line_order(a)),
+                          (R3, mirror_line_order(mirrored))):
+            for size in sizes:
+                assert exact_equivalent_for_size(a, d1, built, CR, size) is None, (
+                    i, d1.code, size)
     rng = random.Random(909)
     pool = [random_ghrfa(rng, max_states=3) for _ in range(6)]
     pool += [random_ghbfa(rng, max_per_partition=1) for _ in range(4)]
@@ -423,11 +428,12 @@ def test_criterion_14_within_line_mirror_exact_to_side_6():
             base, d_in = hbfa_to_hrfa(a), CB
         else:
             base, d_in = a, CR
-        built = family_normalizer(base, "r0")
-        for g in filter(is_rotation, OP_NAMES):
+        built = {k: family_normalizer(base, k) for k in ("r0", "r3")}
+        for g in OP_NAMES:
+            k = "r0" if is_rotation(g) else "r3"
             d1 = DirectionMode(d_in.kind, invert(g))
-            d2 = DirectionMode(RETURNING, compose("r0", invert(g)))
+            d2 = DirectionMode(RETURNING, compose(k, invert(g)))
             for size in sizes:
-                assert exact_equivalent_for_size(a, d1, built, d2, size) is None, (i, g, size)
+                assert exact_equivalent_for_size(a, d1, built[k], d2, size) is None, (i, g, size)
     _report(14, time.time() - start, 60,
-            "30 r0 mirrors + 10 automata x 6 rotations, x 216 sizes")
+            "30 automata x {r0, r3, R3} + 10 automata x 12 elements, x 216 sizes")

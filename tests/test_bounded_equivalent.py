@@ -4,7 +4,8 @@ enumeration oracle's member-free path.
 `bounded_equivalent` reads a1 in the mode that makes its language the
 op-image, compares symbol words in row-major order and builds one picture,
 the witness.  `equivalent` answers the same question, from the exact oracle
-at each size where the two plans align.  Their definition is the
+at each size where the two plans read the same lines, in the same or the
+reverse order.  Their definition is the
 picture-level comparison below, over `accepted_set` and `image_set`; each
 must agree with it on verdict and witness, byte for byte.  Ordering by cell
 count, then serialized text, is kept as an independent reference for the
@@ -131,10 +132,11 @@ def test_oracle_matches_its_definition(monkeypatch):
         assert got == want, (i, d1.code, d2.code, op)
         if got is not None:
             assert serialize_picture(got) == serialize_picture(want)
-        # the two modes alone choose the path
+        # the two modes alone choose the path: the exact one where they read
+        # the same lines, in the same or the reverse order
         image = compose(d1.element, invert(op))
-        aligned = compose(d2.element, invert(image)) in ("R0", "r0")
-        assert (exact, enumerated) == (aligned, not aligned), (i, d1.code, d2.code, op)
+        same_lines = compose(d2.element, invert(image)) in ("R0", "r0", "r3", "R3")
+        assert (exact, enumerated) == (same_lines, not same_lines), (i, d1.code, d2.code, op)
         took_exact += exact
         took_enumeration += enumerated
         # the same question with d2 aligned to the image mode, in the same
@@ -156,8 +158,8 @@ def test_oracle_matches_its_definition(monkeypatch):
     assert 200 < unequal < 1000 and 100 < unequal_variants < 1000, (unequal, unequal_variants)
     # witnesses come from every 3-cell size of the tied bound
     assert {HexSize(1, 1, 3), HexSize(1, 3, 1), HexSize(3, 1, 1)} <= witness_sizes
-    # both paths serve many questions: 176 of the 1,200 and their 1,200
-    # variants, and 1,024 of the 1,200
+    # both paths serve many questions: 389 of the 1,200 and their 1,200
+    # variants, and 811 of the 1,200
     assert took_exact > 1000 and took_enumeration > 500, (took_exact, took_enumeration)
 
 

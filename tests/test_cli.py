@@ -218,6 +218,38 @@ def test_equiv_decides_sizes_enumeration_cannot_reach(capsys, tmp_path):
     assert (code, out) == (2, "") and err.startswith("error: the question needs ")
 
 
+def test_equiv_decides_reversed_order_questions_at_any_bound(capsys, tmp_path):
+    # r3 and R3 read the same lines as R0 in reverse order, which the exact
+    # oracle answers by reading one side transposed: max side 4 holds 2^37
+    # pictures at (4,4,4) alone, and none is enumerated
+    from hexscan import automaton
+
+    # accepts iff the first cell read holds a
+    first_a = automaton(RETURNING, ["s", "t", "u", "v"], [], ["a", "b"],
+                        [("s", "a", "t"), ("t", "a", "t"), ("t", "b", "t"),
+                         ("u", "a", "v"), ("u", "b", "v"), ("v", "a", "v"), ("v", "b", "v")],
+                        [("t", "u"), ("v", "u")], "s", ["u"])
+    src, reflected = tmp_path / "first-a.hxa", tmp_path / "reflected.hxa"
+    src.write_text(serialize_automaton(first_a))
+    assert run_cli(capsys, "mirror", "--target", "R3", "--automaton", str(src),
+                   "-o", str(reflected))[0] == 0
+
+    def equiv(op):
+        return run_cli(capsys, "equiv", "--a1", str(src), "--d1", "R:R0", "--a2", str(reflected),
+                       "--d2", "R:R0", "--op", op, "--max-side", "4")
+
+    assert equiv("R3") == (0, "EQUAL\n", "")
+    # r3 keeps each line's direction: the first cell of the last line, not
+    # its last cell, is the image of the first cell read
+    code, out, _ = equiv("r3")
+    a2 = parse_automaton(reflected.read_text())[0]
+    first = next(w for size in SizeBound.max_side(4).sorted_sizes()
+                 if (w := exact_equivalent_for_size(first_a, parse_direction("R:r3"), a2,
+                                                    parse_direction("R:R0"), size)))
+    assert (code, out) == (1, serialize_picture(first))
+    assert first.size == HexSize(1, 1, 2)
+
+
 def test_render(capsys, tmp_path):
     path = tmp_path / "p.hxp"
     path.write_text(serialize_picture(make_uniform(HexSize(3, 3, 3), "a")))

@@ -5,6 +5,7 @@ import pytest
 
 from hexscan import (
     BOUSTROPHEDON,
+    OP_NAMES,
     HexSize,
     RETURNING,
     apply_op,
@@ -188,11 +189,18 @@ def _sizes_up_to_cells(most):
             if cell_count(s) <= most]
 
 
+def _side_lines(d1, d2, size, swap):
+    """A pair search's `_lines` at `size` for modes d1 and d2, side 0 being d2's when `swap`."""
+    from hexscan.langtools import _lines
+    from hexscan.scan import _carried_lines
+
+    mode0, mode1 = (d2, d1) if swap else (d1, d2)
+    return _lines(_carried_lines(mode0, mode1), mode1, size)
+
+
 def _carries_a_line_of_one_cell(d1, d2, size):
     """Whether side 0 of a pair search carries a relation on a line of one cell at `size`."""
-    from hexscan.langtools import _lines
-
-    reading, carried = _lines(d1, d2, size, False)
+    reading, carried = _side_lines(d1, d2, size, False)
     return any(carried[i % 2] and len(line) == 1 for i, line in enumerate(reading))
 
 
@@ -239,6 +247,22 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
                 unequal += exact is not None
                 one_cell_carried += _carries_a_line_of_one_cell(d1, d2, size)
     assert unequal > 100 and one_cell_carried > 100, (unequal, one_cell_carried)
+    # r3- and R3-relative modes g and r3 or R3 after g: the plans read the
+    # same lines in reverse order, so one side is read transposed, at sizes
+    # of an even and of an odd line count
+    unequal = equal = 0
+    for size in _sizes_up_to_cells(13):
+        single = SizeBound(frozenset({size}))
+        for (k1, k2), g, relative in itertools.product(kinds, ("R0", "R1", "r1", "r4"),
+                                                       ("r3", "R3")):
+            a1, a2 = rng.choice(pools[k1]), rng.choice(pools[k2])
+            d1, d2 = DirectionMode(k1, g), DirectionMode(k2, compose(relative, g))
+            exact = exact_equivalent_for_size(a1, d1, a2, d2, size)
+            assert exact == bounded_equivalent(a1, d1, a2, d2, AB, single), (
+                size, d1.code, d2.code)
+            unequal += exact is not None
+            equal += exact is None
+    assert unequal > 1000 and equal > 500, (unequal, equal)
 
 
 def test_exact_oracle_agrees_with_enumeration_on_dense_languages(rng):
@@ -347,15 +371,23 @@ def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
     assert killed == len(pool)
 
 
-def _plan_lines(d1, d2, size, swap):
-    """`_lines` decided from both plans, line by line: its earlier form, kept as its reference."""
+def _plan_lines(d1, d2, size, swap, reverse):
+    """`_lines` decided from both plans, line by line: its earlier form, kept as its reference.
+
+    Side 0 reads its own plan's lines, or with `reverse` that plan
+    transposed: last line first, each line backwards.  None where those do
+    not match side 1's plan line for line, each line either way.
+    """
+    own = scan_lines(size, d2 if swap else d1).reading
+    if reverse:
+        own = tuple(line[::-1] for line in reversed(own))
     lines = []
-    for l1, l2 in itertools.zip_longest(scan_lines(size, d1).reading,
-                                        scan_lines(size, d2).reading, fillvalue=()):
-        if l1 == l2:
+    for l0, l1 in itertools.zip_longest(own, scan_lines(size, d1 if swap else d2).reading,
+                                        fillvalue=()):
+        if l0 == l1:
             lines.append((l1, False))
-        elif l1 == l2[::-1]:
-            lines.append((l1 if swap else l2, True))
+        elif l0 == l1[::-1]:
+            lines.append((l1, True))
         else:
             return None
     return lines
@@ -363,30 +395,112 @@ def _plan_lines(d1, d2, size, swap):
 
 def test_carrier_pattern_from_the_modes_matches_both_plans():
     # Every pair of modes at every size with max side <= 6, side 0 either
-    # machine: where the modes align, `_lines` reads the plans' lines, and
-    # carries each line of more than one cell that the plans read in
-    # opposite orientations (a line of one cell reads alike either way);
-    # where they do not, the plans align only at sizes with a side of 1.
-    from hexscan.langtools import _lines
+    # machine: where the modes read the same lines, in the same or the
+    # reverse order, `_lines` reads side 1's plan, and carries each line of
+    # more than one cell that side 0, transposed in reverse order, reads in
+    # the opposite orientation (a line of one cell reads alike either way);
+    # where they do not, the plans match in either order only at sizes with
+    # a side of 1.
+    from hexscan.scan import _carried_lines
 
-    aligned = dropped = 0
+    cases = {False: 0, True: 0}
+    odd_counts = {False: 0, True: 0}
+    dropped = 0
     for size in SizeBound.max_side(6).sorted_sizes():
         for d1, d2 in itertools.product(ALL_MODES, repeat=2):
             for swap in (False, True):
-                got, want = _lines(d1, d2, size, swap), _plan_lines(d1, d2, size, swap)
-                if got is not None:
-                    reading, carried = got
-                    assert want is not None, (d1.code, d2.code, size, swap)
-                    assert reading == tuple(line for line, _ in want)
-                    assert all(type(c) is bool for c in carried) and len(carried) == 2
-                    assert all(carried[i % 2] == c for i, (line, c) in enumerate(want)
-                               if len(line) > 1), (d1.code, d2.code, size, swap)
-                    aligned += 1
-                elif want is not None:
-                    assert min(size.as_tuple()) == 1, (d1.code, d2.code, size, swap)
-                    dropped += 1
-    # 20,736 aligned (mode pair, size) cases and 1,920 dropped ones, each with both swaps
-    assert (aligned, dropped) == (41472, 3840)
+                order = _carried_lines(*((d2, d1) if swap else (d1, d2)))
+                if order is None:
+                    for reverse in (False, True):
+                        if _plan_lines(d1, d2, size, swap, reverse) is not None:
+                            assert min(size.as_tuple()) == 1, (d1.code, d2.code, size, swap)
+                            dropped += 1
+                    continue
+                reverse = order[0]
+                want = _plan_lines(d1, d2, size, swap, reverse)
+                assert want is not None, (d1.code, d2.code, size, swap)
+                reading, carried = _side_lines(d1, d2, size, swap)
+                assert reading == tuple(line for line, _ in want)
+                assert all(type(c) is bool for c in carried) and len(carried) == 2
+                assert all(carried[i % 2] == c for i, (line, c) in enumerate(want)
+                           if len(line) > 1), (d1.code, d2.code, size, swap)
+                cases[reverse] += 1
+                if reverse:
+                    odd_counts[len(reading) % 2 == 1] += 1
+    # 20,736 (mode pair, size) cases in each order, each with both swaps,
+    # the reverse-order ones split evenly between the two parities of the
+    # line count; other mode pairs match, in one order or the other, 5,376
+    # times at sizes with a side of 1
+    assert cases == {False: 41472, True: 41472}, cases
+    assert odd_counts == {False: 20736, True: 20736}, odd_counts
+    assert dropped == 5376, dropped
+
+
+def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
+    # r3 and R3 questions, equal and unequal, with both kinds on side 0 and
+    # at sizes of both parities of line count.  Each of three wrong
+    # transpositions must change the answer on some of them:
+    #   * the start taken from the finals, not stepped back over `#`;
+    #   * top left out, with the machine's start made the final;
+    #   * the carried pattern taken for the wrong parity of the line count.
+    from hexscan import DirectionMode, langtools
+    from hexscan.automata import IndexedAutomaton
+    from hexscan.transforms import family_normalizer
+
+    rng = random.Random(2727)
+    sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(1, 3, 3),
+             HexSize(2, 2, 3), HexSize(3, 1, 2))
+    pool, unequal, odd_counts = [], 0, set()
+    for draw in range(120):
+        a1 = random_ghbfa(rng, max_per_partition=2) if draw % 2 else random_ghrfa(rng)
+        relative = rng.choice(("r3", "R3"))
+        if draw % 4 < 2:  # the image machine: equal at every size
+            base = a1 if a1.kind == RETURNING else hbfa_to_hrfa(a1)
+            a2 = family_normalizer(base, relative)
+        else:
+            a2 = random_ghbfa(rng, max_per_partition=2) if draw % 8 < 4 else random_ghrfa(rng)
+        h = rng.choice(OP_NAMES)
+        d1, d2 = DirectionMode(a1.kind, h), DirectionMode(a2.kind, compose(relative, h))
+        for size in rng.sample(sizes, 3):
+            w = exact_equivalent_for_size(a1, d1, a2, d2, size)
+            assert w == bounded_equivalent(a1, d1, a2, d2, AB, SizeBound(frozenset({size})))
+            pool.append((a1, d1, a2, d2, size, w))
+            unequal += w is not None
+            odd_counts.add(len(scan_lines(size, d2).lines) % 2)
+    assert 80 < unequal < len(pool) - 80 and odd_counts == {0, 1}, (unequal, len(pool))
+    # the transposed side is the machine with fewer states, of either
+    # argument and of either kind
+    side0 = {min((a1, a2), key=lambda a: len(a.states)) for a1, _, a2, _, _, _ in pool}
+    assert {a.kind for a in side0} == {BOUSTROPHEDON, RETURNING}
+    assert {len(a1.states) <= len(a2.states) for a1, _, a2, _, _, _ in pool} == {True, False}
+
+    transposed, carried = langtools._transposed, langtools._carried_lines
+
+    def start_not_stepped_back(side):
+        return transposed(side)._replace(start_mask=side.finals_mask)
+
+    def no_top(side):
+        t, n = transposed(side), len(side.names)
+        rows = {sym: tuple(row & ~(1 << n) for row in value[:n]) for sym, value in t.value.items()}
+        return IndexedAutomaton(side.names, rows, t.start_mask, side.start_mask)
+
+    def wrong_parity(d0, d1):
+        order = carried(d0, d1)
+        return order and (order[0], order[1][::-1])
+
+    kills = {}
+    for name, mutant in (("_transposed", start_not_stepped_back), ("_transposed", no_top),
+                         ("_carried_lines", wrong_parity)):
+        # each mutant asks from a slot of its own, and the module's slot and
+        # function are put back after it
+        monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+        monkeypatch.setattr(langtools, name, mutant)
+        kills[mutant.__name__] = sum(exact_equivalent_for_size(a1, d1, a2, d2, size) != w
+                                     for a1, d1, a2, d2, size, w in pool)
+        monkeypatch.undo()
+    # the counts measured when this test was written are the floors
+    assert kills["start_not_stepped_back"] >= 42 and kills["no_top"] >= 54, kills
+    assert kills["wrong_parity"] >= 13, kills
 
 
 G = ("R0", "r1", "R2", "r4")
@@ -481,7 +595,7 @@ def test_a_reused_pair_search_answers_as_a_fresh_one_and_the_set_walk():
     # in two pairs of modes, in shuffled order, from steps that earlier
     # answers memoized; each answer must equal a fresh search's and the set
     # walk's.
-    from hexscan.langtools import _PairSearch, _lines
+    from hexscan.langtools import _PairSearch
 
     rng = random.Random(1717)
     sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(1, 3, 3))
@@ -502,16 +616,16 @@ def test_a_reused_pair_search_answers_as_a_fresh_one_and_the_set_walk():
         for first, second, backwards in ((a1, a2, False), (a2, a1, True)):
             swap = len(second.states) < len(first.states)
             swaps.add(swap)
-            machines = (second, first) if swap else (first, second)
-            reused = _PairSearch(*machines, AB)
+            sides = [a._indexed for a in ((second, first) if swap else (first, second))]
+            reused = _PairSearch(*sides, AB)
             rng.shuffle(asks)
             for d1, d2, size, fixed in asks:
                 if backwards:
                     d1, d2 = d2, d1
-                lines = _lines(d1, d2, size, swap)
+                lines = _side_lines(d1, d2, size, swap)
                 want = _set_walk(reused, lines, fixed)
                 assert reused.mismatch(lines, fixed) == want, (d1.code, d2.code, size)
-                assert _PairSearch(*machines, AB).mismatch(lines, fixed) == want
+                assert _PairSearch(*sides, AB).mismatch(lines, fixed) == want
                 answers[want] += 1
     # each argument carries the relation somewhere, and both answers are common
     assert swaps == {True, False}
@@ -522,7 +636,7 @@ def test_a_line_of_one_cell_carried_reads_as_the_set_walk_reads_it_uncarried():
     # the pair search enters the relation on every line of a carried parity;
     # on a line of one cell that must give the frontier the set walk's
     # direct read gives
-    from hexscan.langtools import _PairSearch, _lines
+    from hexscan.langtools import _PairSearch
 
     rng = random.Random(1818)
     sizes = (HexSize(2, 1, 1), HexSize(3, 1, 1), HexSize(1, 1, 2), HexSize(2, 1, 3),
@@ -532,9 +646,9 @@ def test_a_line_of_one_cell_carried_reads_as_the_set_walk_reads_it_uncarried():
         d1, d2 = _modes(draw % 2, rng.choice(G))
         a1, a2 = _machine(rng, d1), _machine(rng, d2)
         swap = len(a2.states) < len(a1.states)
-        search = _PairSearch(*((a2, a1) if swap else (a1, a2)), AB)
+        search = _PairSearch(*(a._indexed for a in ((a2, a1) if swap else (a1, a2))), AB)
         for size in sizes:
-            lines = _lines(d1, d2, size, swap)
+            lines = _side_lines(d1, d2, size, swap)
             reading, carried = lines
             if not any(carried[i % 2] and len(line) == 1 for i, line in enumerate(reading)):
                 continue
@@ -602,6 +716,30 @@ def test_a_kept_search_answers_as_a_fresh_one_in_every_call_order(monkeypatch):
         assert exact_equivalent_for_size(a1, d1, a2, d2, size, alphabet) == fresh[i, size]
     unequal = sum(w is not None for w in fresh.values())
     assert 150 < unequal < len(fresh) - 150, (unequal, len(fresh))
+
+
+def test_a_kept_search_is_replaced_when_the_line_order_turns(monkeypatch):
+    # The same machines and symbols in modes of the same line order and of
+    # the reverse order are two questions: the reverse one reads side 0
+    # transposed, so neither's kept search may answer the other.
+    from hexscan import DirectionMode, langtools
+
+    rng = random.Random(2828)
+    monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+    unequal = {False: 0, True: 0}
+    for _ in range(20):
+        a1, a2 = random_ghrfa(rng), random_ghrfa(rng)
+        g = rng.choice(OP_NAMES)
+        d1 = DirectionMode(RETURNING, g)
+        modes = [DirectionMode(RETURNING, compose(rng.choice(pair), g))
+                 for pair in (("R0", "r0"), ("r3", "R3"))]
+        for size in KEPT_SIZES:
+            for reverse, d2 in enumerate(modes):
+                w = exact_equivalent_for_size(a1, d1, a2, d2, size)
+                assert w == bounded_equivalent(a1, d1, a2, d2, AB, SizeBound(frozenset({size}))), (
+                    d1.code, d2.code, size)
+                unequal[bool(reverse)] += w is not None
+    assert min(unequal.values()) > 20, unequal
 
 
 def test_two_threads_asking_different_questions_get_a_single_threads_answers(monkeypatch):
