@@ -17,12 +17,14 @@ kind and alphabet.  There are two oracles:
     pictures.  For two modes that read the same lines, in the same or the
     reverse order (`scan._carried_lines`), a pair search (`_PairSearch`)
     advances the set of reachable pairs of frontier sets one read at a
-    time, and a counterexample is built greedily, cell by cell in row-major
-    order, each cell fixed to the first symbol for which a mismatch is
-    still reachable.  Where the order is reversed (relative element r3 or
-    R3), one side's rule table is transposed (`_transposed`), which makes
-    the question one in the same order.  This oracle alone keeps the last
-    question's search, one per thread, for its next call to reuse.
+    time.  A size's verdict reads its line lengths alone, one memoized read
+    per line; a mismatch's plan and counterexample come after, greedily,
+    cell by cell in row-major order, each cell fixed to the first symbol
+    for which a mismatch is still reachable.  Where the order is reversed
+    (relative element r3 or R3), one side's rule table is transposed
+    (`_transposed`), which makes the question one in the same order.  This
+    oracle alone keeps the last question's search, one per thread, for its
+    next call to reuse.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
@@ -54,7 +56,7 @@ from .hexgrid import (
 )
 from .symmetry import apply_op, check_op, compose, invert, transform_size
 from .automata import HexAutomaton, IndexedAutomaton, _check_question, _union
-from .scan import DirectionMode, _carried_lines, scan_lines
+from .scan import _SIDES, DirectionMode, _carried_lines, _line_lengths, scan_lines
 
 
 @dataclass(frozen=True)
@@ -302,10 +304,11 @@ class _PairSearch:
     read is a symbol, `#`, `_ANY` (a free cell) or `_ENTER` (a carried line
     begins, `x0` becoming the relation `(x0, identity)`).  A step of a set
     on a read is the union of its pairs' successors; both are computed when
-    first needed and kept on the search, so every `mismatch` call of one
-    question, at any size and the greedy witness's included, reuses the
-    steps the calls before it made.  No pair is ever dropped from a set:
-    the pair of two empty frontiers never refutes.
+    first needed and kept on the search, as is a set's successor over a
+    free line (`free`), so every `mismatch` call of one question, at any
+    size and the greedy witness's included, reuses the reads of the calls
+    before it.  No pair is ever dropped from a set: the pair of two empty
+    frontiers never refutes.
     """
 
     def __init__(self, s0: IndexedAutomaton, s1: IndexedAutomaton, symbols: tuple[str, ...]):
@@ -318,6 +321,8 @@ class _PairSearch:
         self.refuting = 0
         # read -> set of pairs -> its successor set; a one-pair set's entry is that pair's row
         self.steps: dict = {read: {} for read in (*symbols, BORDER_SYMBOL, _ANY, _ENTER)}
+        # (set of pairs, length, carried) -> the set after a free line and its `#`
+        self.free: dict[tuple[int, int, bool], int] = {}
         self.start = self._bit((s0.start_mask, s1.start_mask))
 
     def _bit(self, pair: tuple) -> int:
@@ -372,12 +377,22 @@ class _PairSearch:
     def mismatch(self, lines: tuple, fixed: dict[Cell, str]) -> bool:
         """True iff exactly one automaton accepts a picture of `lines` agreeing with `fixed`.
 
-        Every line and its `#` are read; refutation is read once, at the end.
+        A line is its cells, or its length where it is free.  Every line and
+        its `#` are read; refutation is read once, at the end.
         """
-        step = self._step
+        step, free = self._step, self.free
         pairs = self.start
         reading, carried = lines
         for line, enter in zip(reading, itertools.cycle(carried)):
+            if type(line) is int:
+                key = (pairs, line, enter)
+                if key not in free:
+                    nxt = step(pairs, _ENTER) if enter else pairs
+                    for _ in range(line):
+                        nxt = step(nxt, _ANY)
+                    free[key] = step(nxt, BORDER_SYMBOL)
+                pairs = free[key]
+                continue
             if enter:
                 pairs = step(pairs, _ENTER)
             for cell in line:
@@ -425,15 +440,14 @@ def _search(a0: HexAutomaton, a1: HexAutomaton, symbols: tuple[str, ...],
     return _PairSearch(_transposed(s0) if transposed else s0, a1._indexed, symbols)
 
 
-def _lines(order: tuple, mode1: DirectionMode, size: HexSize) -> tuple:
-    """A pair search's lines at `size`: side 1's plan's reading and the carried pattern.
+def _lines(order: tuple, reading: tuple) -> tuple:
+    """A pair search's lines: side 1's, each its cells or its length, and the carried pattern.
 
-    Every line is read as side 1's plan, in `mode1`, reads it.  `order` is
+    Every line is read as side 1's plan reads it.  `order` is
     `scan._carried_lines` of the two sides' modes, and side 0 carries a
     relation on line i where `carried[i % 2]`: the (even, odd) pattern it
-    gives at the plan's line count.
+    gives at the line count.
     """
-    reading = scan_lines(size, mode1).reading
     return reading, order[1][len(reading) % 2]
 
 
@@ -484,19 +498,27 @@ def exact_equivalent_for_size(
     key = (a, b, symbols, order[0])
     if _kept.key != key:
         _kept.key, _kept.search = key, _search(*key)
-    return _searched_difference(_kept.search, size, _lines(order, mode1, size))
+    if not _kept.search.mismatch(_lines(order, _line_lengths(size, mode1.element)), {}):
+        return None
+    return _searched_difference(_kept.search, size, _lines(order, scan_lines(size, mode1).reading))
 
 
-def _searched_difference(search: _PairSearch, size: HexSize, lines: tuple) -> HexPicture | None:
-    """The smallest picture of `lines` at `size` on which `search`'s two machines disagree."""
+def _searched_difference(search: _PairSearch, size: HexSize, lines: tuple) -> HexPicture:
+    """The smallest picture of `lines` at `size` on which `search`'s two machines disagree.
+
+    There must be one.  A line is read free until one of its cells is fixed.
+    """
+    reading, carried = lines
+    walk = list(map(len, reading))
+    line_of = {cell: i for i, line in enumerate(reading) for cell in line}
     symbols = search.symbols
     fixed: dict[Cell, str] = {}
-    if not search.mismatch(lines, fixed):
-        return None
     for cell in cells(size):
+        i = line_of[cell]
+        walk[i] = reading[i]
         for sym in symbols[:-1]:
             fixed[cell] = sym
-            if search.mismatch(lines, fixed):
+            if search.mismatch((walk, carried), fixed):
                 break
         else:
             fixed[cell] = symbols[-1]
@@ -521,9 +543,10 @@ def equivalent(
     Same signature, contract and walk of the image sizes as
     `bounded_equivalent`.  Where the image mode and d2 read the same lines,
     in the same or the reverse order (`scan._carried_lines`), one pair
-    search decides every size, reading each size's plan with the carried
+    search decides every size from its line lengths, with the carried
     pattern the two modes and its line count give; in reverse order its
-    side 0 is read transposed.  Otherwise
+    side 0 is read transposed.  Only a witness's image size is built, and
+    its plan.  Otherwise
     `bounded_equivalent` answers, unless the bound's pictures, counted from
     its cell counts alone (an op keeps them), exceed `_ENUMERATION_BUDGET`:
     then the question is refused with a ValueError before any size is
@@ -540,8 +563,11 @@ def equivalent(
                              "enumerated where the two plans do not align")
         return bounded_equivalent(a1, d1, a2, d2, symbols, bound, op)
     search = _search(a, b, symbols, order[0])
-    for size in bound.image(op).sorted_sizes():
-        witness = _searched_difference(search, size, _lines(order, mode1, size))
-        if witness is not None:
-            return witness
+    # a size's image has in mode1 the lines the size has in `element`
+    sides, element = _SIDES[op], compose(mode1.element, op)
+    for size in sorted(bound.sizes, key=lambda s: (cell_count(s), sides(s.as_tuple()))):
+        if search.mismatch(_lines(order, _line_lengths(size, element)), {}):
+            image = transform_size(op, size)
+            reading = scan_lines(image, mode1).reading
+            return _searched_difference(search, image, _lines(order, reading))
     return None

@@ -12,6 +12,7 @@ The two kinds share plan geometry, down to one `lines` tuple per (size, op),
 and differ only in reading orientation, which `_ODD_LINES_BACKWARD` alone
 states: a boustrophedon mode reads every odd line backwards, a returning
 mode every line forwards.  Both `scan_lines` and `_carried_lines` read it.
+`_line_lengths` needs no plan: lengths follow from `_columns` alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .hexgrid import Cell, HexSize, cell_count, row_widths
 from .symmetry import OP_NAMES, affine, check_op, compose, invert, transform_size
@@ -119,14 +120,33 @@ _RETURNING_MODES = {mode.element: mode for mode in modes_for_kind(RETURNING)}
 _ODD_LINES_BACKWARD = {BOUSTROPHEDON: True, RETURNING: False}
 
 
+# An op permutes a size's sides (l, m, n), as the image of (1, 2, 3) shows
+_SIDES = {g: itemgetter(*(side - 1 for side in transform_size(g, HexSize(1, 2, 3)).as_tuple()))
+          for g in OP_NAMES}
+
+
+def _columns(l: int, m: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """The canonical lines of size (l, m, n) in order: each column q, its top row r, its length."""
+    for q in range(1 - l, m):
+        r = -q if q < 0 else 0
+        yield q, r, (l + n - 1 if q <= m - l else m + n - 1 - q) - r
+
+
+@lru_cache(maxsize=4096)
+def _line_lengths(size: HexSize, element: str) -> tuple[int, ...]:
+    """The lengths of the lines a plan of `size` in either mode of `element` reads, in order."""
+    return tuple(length for _, _, length in _columns(*_SIDES[element]((size.l, size.m, size.n))))
+
+
 @lru_cache(maxsize=4096)
 def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
     """Scan plan for the given size and mode.
 
-    The canonical lines of the g-transformed size, each the cells (r, q) of
-    one column q from the top, go through the affine map of g's inverse; a
-    line's image advances by that map's linear part, so it is built from
-    two ranges.  The canonical mode takes the same path with the identity.
+    The canonical lines of the g-transformed size (`_columns`), each the
+    cells (r, q) of one column q from the top, go through the affine map of
+    g's inverse; a line's image advances by that map's linear part, so it
+    is built from two ranges.  The canonical mode takes the same path with
+    the identity.
     Both kinds share one `lines`: a boustrophedon plan takes it from the
     returning plan of the same element.  Each line's reading orientation
     follows `_ODD_LINES_BACKWARD`.
@@ -140,13 +160,10 @@ def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
         return ScanPlan(size, lines, ((False, True) * k)[:k], tuple(reading))
     target = transform_size(g, size)
     a, b, c, d, e, f = affine(invert(g), target)
-    l, m, n = target.l, target.m, target.n
     built = []
-    for q in range(1 - l, m):
-        # column q runs from row r down; one of its two ranges below may be
-        # constant, and then the other one stops it
-        r = -q if q < 0 else 0
-        length = (l + n - 1 if q <= m - l else m + n - 1 - q) - r
+    for q, r, length in _columns(target.l, target.m, target.n):
+        # one of the column's two ranges below may be constant, and then the
+        # other one stops it
         r0 = a * r + b * q + e
         q0 = c * r + d * q + f
         rows = range(r0, r0 + a * length, a) if a else itertools.repeat(r0)

@@ -15,11 +15,12 @@ constant below 100 made one larger, and a boolean flipped.
 The checkout's `src/` and `tests/` are copied once into a temporary
 directory.  Each mutant is written there, as `ast.unparse` of the mutated
 module, and the tests `TESTS` maps its module to run against it in one
-pytest process at a time, with `-x`, a 120 s timeout and a 2 GiB
-address-space limit.  A mutant is *killed* when they fail (the first
-failing test is printed), *survived* when they pass and *timed out* when
-they do not end in time.  The unmutated module, unparsed the same way, must
-pass first.  The file name keeps pytest from collecting this script.
+pytest process at a time, with `-x` and a 2 GiB address-space limit.  The
+unmutated module, unparsed the same way, must pass first; that pass is
+timed, and a mutant of the module gets `_TIMEOUT_FACTOR` times as long.  A
+mutant is *killed* when its tests fail (the first failing test is printed),
+*survived* when they pass and *timed out* when they do not end in time.
+The file name keeps pytest from collecting this script.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ TARGETS = {
                              "_searched_difference", "equivalent",
                              "exact_equivalent_for_size", "bounded_equivalent",
                              "_enumerated_difference", "_accepted_words"),
-    "hexscan/scan.py": ("_carried_lines",),
+    "hexscan/scan.py": ("_columns", "_line_lengths", "_carried_lines"),
 }
 # module under src/ -> the test files run against each of its mutants
 TESTS = {
@@ -62,7 +63,8 @@ _TEXT = {
     ast.BitOr: "|", ast.BitAnd: "&", ast.Add: "+", ast.Sub: "-", ast.BitXor: "^",
     ast.And: "and", ast.Or: "or", ast.Not: "not", ast.Invert: "~",
 }
-_TIMEOUT_S = 120
+# a mutant's tests may take this many times as long as the unmutated pass
+_TIMEOUT_FACTOR = 3
 _MEMORY_LIMIT = 2 << 30
 
 
@@ -134,13 +136,13 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_LIMIT, _MEMORY_LIMIT))
 
 
-def _run_tests(copy: Path, tests: tuple[str, ...]) -> tuple[str, str]:
+def _run_tests(copy: Path, tests: tuple[str, ...], timeout: float | None) -> tuple[str, str]:
     """Run `tests` in the copy: ("killed", first failure), ("survived", "") or ("timed out", "")."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
-                              timeout=_TIMEOUT_S, preexec_fn=_limit_memory)
+                              timeout=timeout, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return "timed out", ""
     if done.returncode == 0:
@@ -168,17 +170,22 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(root / part, copy / part, ignore=ignore)
         shutil.copy(root / "pyproject.toml", copy)
+        timeouts = {}
         for module in TARGETS:
             target = copy / "src" / module
             target.write_text(ast.unparse(ast.parse(target.read_text())))
-            status, first = _run_tests(copy, TESTS[module])
+            began = time.perf_counter()
+            status, first = _run_tests(copy, TESTS[module], None)
             if status != "survived":
                 print(f"the unmutated {module} does not pass: {status} {first}", file=sys.stderr)
                 return 1
+            timeouts[module] = _TIMEOUT_FACTOR * (time.perf_counter() - began)
+            print(f"unmutated {module}: {timeouts[module] / _TIMEOUT_FACTOR:.0f} s, "
+                  f"timeout {timeouts[module]:.0f} s", flush=True)
         for module, names, source, k, name, line, what in plan:
             target = copy / "src" / module
             target.write_text(_mutant(source, names, k))
-            status, first = _run_tests(copy, TESTS[module])
+            status, first = _run_tests(copy, TESTS[module], timeouts[module])
             target.write_text(source)
             counts[status] += 1
             print(f"{status:9} {module}:{line} {name}: {what}  {first}".rstrip(), flush=True)

@@ -420,9 +420,22 @@ def test_criterion_14_within_line_mirror_exact_to_side_6():
             for size in sizes:
                 assert exact_equivalent_for_size(a, d1, built, CR, size) is None, (
                     i, d1.code, size)
+    # boustrophedon sources, read in B:r3 and B:R3: the lines their side 0
+    # carries then depend on the parity of the line count.  Their R3 image
+    # is the point reflection of the conversion; the composed mirrors of a
+    # conversion of 11 states would have over 10^9.
+    for i in range(16):
+        a = random_ghbfa(rng, max_per_partition=2)
+        base = hbfa_to_hrfa(a)
+        for e in ("r3", "R3"):
+            d1, built = DirectionMode(BOUSTROPHEDON, e), family_normalizer(base, e)
+            for size in sizes:
+                assert exact_equivalent_for_size(a, d1, built, CR, size) is None, (
+                    i, d1.code, size)
     rng = random.Random(909)
     pool = [random_ghrfa(rng, max_states=3) for _ in range(6)]
     pool += [random_ghbfa(rng, max_per_partition=1) for _ in range(4)]
+    pool += [random_ghbfa(rng, max_per_partition=2) for _ in range(6)]
     for i, a in enumerate(pool):
         if a.kind == BOUSTROPHEDON:
             base, d_in = hbfa_to_hrfa(a), CB
@@ -436,4 +449,5 @@ def test_criterion_14_within_line_mirror_exact_to_side_6():
             for size in sizes:
                 assert exact_equivalent_for_size(a, d1, built[k], d2, size) is None, (i, g, size)
     _report(14, time.time() - start, 60,
-            "30 automata x {r0, r3, R3} + 10 automata x 12 elements, x 216 sizes")
+            "30 automata x {r0, r3, R3} + 16 x {r3, R3} + 16 automata x 12 elements, "
+            "x 216 sizes")

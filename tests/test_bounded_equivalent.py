@@ -99,8 +99,9 @@ def test_oracle_matches_its_definition(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(langtools, "_searched_difference",
-                        counted("exact", langtools._searched_difference))
+    # `equivalent` builds one pair search per aligned question, equal or
+    # not, and `bounded_equivalent` builds none
+    monkeypatch.setattr(langtools, "_search", counted("exact", langtools._search))
     monkeypatch.setattr(langtools, "_enumerated_difference",
                         counted("enumerated", langtools._enumerated_difference))
 
@@ -183,7 +184,8 @@ def test_inputs_checked_before_enumeration(case, monkeypatch):
         raise AssertionError("worked before checking the question")
 
     # no picture is enumerated, and no plan or pair search is built
-    for name in ("_accepted_words", "_searched_difference", "scan_lines", "_PairSearch"):
+    for name in ("_accepted_words", "_searched_difference", "scan_lines", "_line_lengths",
+                 "_PairSearch"):
         monkeypatch.setattr(langtools, name, refuse)
     # the machines' builders: an invalid machine is refused when it is built
     a1, d1, a2, d2, alphabet, bound, op = m_all, CB, m_all, CB, AB, BOUND2, "R0"

@@ -12,6 +12,7 @@ from hexscan import (
     canonical_mode,
     cell_count,
     compose,
+    invert,
     make_uniform,
     modes_for_kind,
     run,
@@ -23,6 +24,7 @@ from hexscan.langtools import (
     accepted_set,
     bounded_equivalent,
     enumerate_pictures,
+    equivalent,
     exact_equivalent_for_size,
     image_set,
     picture_sort_key,
@@ -195,7 +197,7 @@ def _side_lines(d1, d2, size, swap):
     from hexscan.scan import _carried_lines
 
     mode0, mode1 = (d2, d1) if swap else (d1, d2)
-    return _lines(_carried_lines(mode0, mode1), mode1, size)
+    return _lines(_carried_lines(mode0, mode1), scan_lines(size, mode1).reading)
 
 
 def _carries_a_line_of_one_cell(d1, d2, size):
@@ -358,8 +360,9 @@ def test_reversed_line_pool_kills_a_walk_in_the_carriers_order(monkeypatch):
     lines = langtools._lines
 
     def walk_in_carrier_order(*args):
+        # a free line, given as its length, reads alike either way
         reading, carried = lines(*args)
-        return tuple(line[::-1] if carried[i % 2] else line
+        return tuple(line[::-1] if carried[i % 2] and type(line) is tuple else line
                      for i, line in enumerate(reading)), carried
 
     # the mutant asks from a slot of its own, and the module's slot is put
@@ -436,21 +439,19 @@ def test_carrier_pattern_from_the_modes_matches_both_plans():
     assert dropped == 5376, dropped
 
 
-def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
-    # r3 and R3 questions, equal and unequal, with both kinds on side 0 and
-    # at sizes of both parities of line count.  Each of three wrong
-    # transpositions must change the answer on some of them:
-    #   * the start taken from the finals, not stepped back over `#`;
-    #   * top left out, with the machine's start made the final;
-    #   * the carried pattern taken for the wrong parity of the line count.
-    from hexscan import DirectionMode, langtools
-    from hexscan.automata import IndexedAutomaton
+def _reversed_order_pool():
+    """360 r3 and R3 questions, each (a1, d1, a2, d2, size, the exact oracle's answer).
+
+    Equal and unequal, with both kinds on side 0, at sizes of both parities
+    of line count.
+    """
+    from hexscan import DirectionMode
     from hexscan.transforms import family_normalizer
 
     rng = random.Random(2727)
     sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(1, 3, 3),
              HexSize(2, 2, 3), HexSize(3, 1, 2))
-    pool, unequal, odd_counts = [], 0, set()
+    pool = []
     for draw in range(120):
         a1 = random_ghbfa(rng, max_per_partition=2) if draw % 2 else random_ghrfa(rng)
         relative = rng.choice(("r3", "R3"))
@@ -462,11 +463,24 @@ def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
         h = rng.choice(OP_NAMES)
         d1, d2 = DirectionMode(a1.kind, h), DirectionMode(a2.kind, compose(relative, h))
         for size in rng.sample(sizes, 3):
-            w = exact_equivalent_for_size(a1, d1, a2, d2, size)
-            assert w == bounded_equivalent(a1, d1, a2, d2, AB, SizeBound(frozenset({size})))
-            pool.append((a1, d1, a2, d2, size, w))
-            unequal += w is not None
-            odd_counts.add(len(scan_lines(size, d2).lines) % 2)
+            pool.append((a1, d1, a2, d2, size, exact_equivalent_for_size(a1, d1, a2, d2, size)))
+    return pool
+
+
+def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
+    # Each of three wrong transpositions must change the answer to some of
+    # the reversed-order pool's questions:
+    #   * the start taken from the finals, not stepped back over `#`;
+    #   * top left out, with the machine's start made the final;
+    #   * the carried pattern taken for the wrong parity of the line count.
+    from hexscan import langtools
+    from hexscan.automata import IndexedAutomaton
+
+    pool = _reversed_order_pool()
+    for a1, d1, a2, d2, size, w in pool:
+        assert w == bounded_equivalent(a1, d1, a2, d2, AB, SizeBound(frozenset({size})))
+    unequal = sum(w is not None for *_, w in pool)
+    odd_counts = {len(scan_lines(size, d2).lines) % 2 for _, _, _, d2, size, _ in pool}
     assert 80 < unequal < len(pool) - 80 and odd_counts == {0, 1}, (unequal, len(pool))
     # the transposed side is the machine with fewer states, of either
     # argument and of either kind
@@ -501,6 +515,109 @@ def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
     # the counts measured when this test was written are the floors
     assert kills["start_not_stepped_back"] >= 42 and kills["no_top"] >= 54, kills
     assert kills["wrong_parity"] >= 13, kills
+
+
+def test_line_lengths_are_those_of_every_plan():
+    # the lengths a size's verdict reads, against the plan the witness
+    # search reads, at every size with max side <= 6 in all 24 modes
+    from hexscan.scan import _line_lengths
+
+    for size in SizeBound.max_side(6).sorted_sizes():
+        for mode in ALL_MODES:
+            assert _line_lengths(size, mode.element) == tuple(
+                map(len, scan_lines(size, mode).reading)), (size, mode.code)
+
+
+def _free_and_cell_walks(a1, d1, a2, d2, sizes):
+    """Per size: its line count's parity, and a pair search's answer from free lines, from cells.
+
+    Each walk has a fresh search of its own, and nothing is fixed.
+    """
+    from hexscan.langtools import _lines, _search, _sides
+    from hexscan.scan import _carried_lines, _line_lengths
+
+    (a, mode0), (b, mode1) = _sides(a1, d1, a2, d2)
+    order = _carried_lines(mode0, mode1)
+    free, by_cell = (_search(a, b, AB, order[0]) for _ in range(2))
+    for size in sizes:
+        lines = _lines(order, scan_lines(size, mode1).reading)
+        lengths = _lines(order, _line_lengths(size, mode1.element))
+        yield len(lines[0]) % 2, free.mismatch(lengths, {}), by_cell.mismatch(lines, {})
+
+
+def test_free_line_verdict_equals_the_cell_walk():
+    # criterion 13's pools with one mutant each (every size with max side
+    # <= 4), and the reversed-order pool: the verdict read from line lengths
+    # is the one the cells give, at both parities of the line count.  The
+    # mutants of criterion 13's pools differ at sizes of even line count
+    # only, up to max side 6.
+    from dataclasses import replace
+
+    from hexscan import determinize
+
+    questions = []
+    rng = random.Random(606)
+    for _ in range(50):
+        a = random_ghbfa(rng, max_per_partition=4)
+        d = determinize(a)
+        questions += [(a, CB, d, CB), (a, CB, replace(d, finals=d.finals ^ {d.start}), CB)]
+    rng = random.Random(707)
+    for _ in range(30):
+        a = random_ghbfa(rng, max_per_partition=3)
+        conv = hbfa_to_hrfa(a)
+        kept = frozenset(f for f in conv.finals if not f.startswith("1["))
+        questions += [(a, CB, conv, CR), (a, CB, replace(conv, finals=kept), CR)]
+    seen = set()
+    sizes = SizeBound.max_side(4).sorted_sizes()
+    for question in questions:
+        for parity, free, by_cell in _free_and_cell_walks(*question, sizes):
+            assert free == by_cell, question[1:4:2]
+            seen.add((parity, free))
+    assert seen == {(0, False), (0, True), (1, False)}, seen
+    seen = set()
+    for a1, d1, a2, d2, size, w in _reversed_order_pool():
+        ((parity, free, by_cell),) = _free_and_cell_walks(a1, d1, a2, d2, [size])
+        assert free == by_cell == (w is not None), (d1.code, d2.code, size)
+        seen.add((parity, free))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}, seen
+
+
+def test_an_aligned_question_builds_plans_only_for_its_witness(monkeypatch):
+    # at max side 6, relative elements R0, r0, r3 and R3, a source of each
+    # kind: an equal question leaves no plan cached, and an unequal one
+    # builds plans at its witness's size alone, after walking the sizes of
+    # fewer cells from line lengths
+    from hexscan import DirectionMode, langtools
+    from hexscan.transforms import family_normalizer
+
+    rng = random.Random(2828)
+    bound = SizeBound.max_side(6)
+    built_at = []
+
+    def recorded(size, mode):
+        built_at.append(size)
+        return scan_lines(size, mode)
+
+    monkeypatch.setattr(langtools, "scan_lines", recorded)
+    # at most 9 `b`s against at most 12, or 4 against 5: a witness has 10 or 5 cells
+    fewer = {BOUSTROPHEDON: (m_at_most(9), 12), RETURNING: (hbfa_to_hrfa(m_at_most(4)), 5)}
+    for kind, relative in itertools.product((BOUSTROPHEDON, RETURNING), ("R0", "r0", "r3", "R3")):
+        a = random_ghbfa(rng, max_per_partition=2) if kind == BOUSTROPHEDON else random_ghrfa(rng)
+        base = a if kind == RETURNING else hbfa_to_hrfa(a)
+        h, op = rng.choice(OP_NAMES), rng.choice(OP_NAMES)
+        d1 = DirectionMode(kind, h)
+        image = compose(relative, compose(h, invert(op)))
+        scan_lines.cache_clear()
+        assert equivalent(a, d1, family_normalizer(base, relative), DirectionMode(RETURNING, image),
+                          AB, bound, op) is None
+        assert scan_lines.cache_info().currsize == 0 and not built_at, (kind, relative)
+        counter, most = fewer[kind]
+        w = equivalent(counter, d1, m_at_most(most), DirectionMode(BOUSTROPHEDON, image),
+                       AB, bound, op)
+        assert cell_count(w.size) == (10 if kind == BOUSTROPHEDON else 5), (kind, relative)
+        assert set(built_at) == {w.size} and scan_lines.cache_info().currsize <= 2, (
+            kind, relative, w.size)
+        built_at.clear()
 
 
 G = ("R0", "r1", "R2", "r4")
