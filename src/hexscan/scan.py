@@ -7,6 +7,11 @@ the affine image of the canonical lines of the g-transformed size under g's
 inverse (`symmetry.affine`), so scanning a picture in mode g visits the same
 symbols, in the same order, as scanning the g-image canonically.
 
+Every line of a plan advances by one step, so a plan is stated by its size,
+that step and each line's first cell and length; the cells themselves are
+built only when `lines` or `reading` is asked for, which an untraced run
+never does: its `reader` maps positions straight from the geometry.
+
 Mode codes are `B:<op>` (boustrophedon) and `R:<op>` (returning), 24 total.
 The two kinds share plan geometry, down to one `lines` tuple per (size, op),
 and differ only in reading orientation, which `_ODD_LINES_BACKWARD` alone
@@ -21,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .hexgrid import Cell, HexSize, cell_count, row_widths
 from .symmetry import OP_NAMES, affine, check_op, compose, invert, transform_size
@@ -70,20 +75,41 @@ def modes_for_kind(kind: str) -> tuple[DirectionMode, ...]:
 class ScanPlan:
     """An ordered decomposition of a hexagon's cells into straight lines.
 
-    `lines` is the plan geometry: the canonical lines of the transformed size
-    mapped through one affine map, and the same tuple in the plans of both
-    scanner kinds for one size and element.  A run reads
-    line i as `reading[i]`: the line reversed when `backward[i]`, else as is,
-    and one border symbol `#` after it, so it reads the one word
-    `L1 # L2 # ... LK #`.  `reader` builds that word from a picture's
-    symbols; it is computed on first use, so building a plan does not pay
-    for it.
+    The fields are the plan geometry: every line advances by one `step`
+    (dr, dq), and `starts` holds each line's first cell and length,
+    (r, q, length), in order.  The plans of both scanner kinds for one size
+    and element hold the same two tuples, and a boustrophedon plan holds the
+    `returning` plan whose `lines` it shares.  A run reads line i as
+    `reading[i]`: from its far end, stepping back, when `backward[i]`, else
+    as `lines[i]`, and one border symbol `#` after it, so it reads the one
+    word `L1 # L2 # ... LK #`.  `reader` builds that word from a picture's
+    symbols.  `lines`, `reading` and `reader` are computed on first use; an
+    untraced run reads only `reader`, and so builds no cell.
     """
 
     size: HexSize
-    lines: tuple[tuple[Cell, ...], ...]
+    step: tuple[int, int]
+    starts: tuple[tuple[int, int, int], ...]
     backward: tuple[bool, ...]
-    reading: tuple[tuple[Cell, ...], ...]
+    returning: ScanPlan | None
+
+    def _walks(self) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
+        """Each line in reading order as its cells' rows and columns, two sequences to zip."""
+        dr, dq = self.step
+        for (r, q, length), backward in zip(self.starts, self.backward):
+            if backward:  # start at the far end and step back
+                last = length - 1
+                yield _axis(r + last * dr, -dr, length), _axis(q + last * dq, -dq, length)
+            else:
+                yield _axis(r, dr, length), _axis(q, dq, length)
+
+    @cached_property
+    def reading(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(tuple(map(_cell, zip(rows, cols))) for rows, cols in self._walks())
+
+    @cached_property
+    def lines(self) -> tuple[tuple[Cell, ...], ...]:
+        return self.reading if self.returning is None else self.returning.lines
 
     @cached_property
     def reader(self) -> Callable[[Sequence], tuple]:
@@ -100,10 +126,15 @@ class ScanPlan:
         first = itertools.accumulate(row_widths(self.size), initial=0)
         base = [start + min(r, lcap) for r, start in enumerate(first)]
         at = []
-        for line in self.reading:
-            at.extend(index[base[r] + q] for r, q in line)
+        for rows, cols in self._walks():
+            at.extend([index[base[r] + q] for r, q in zip(rows, cols)])
             at.append(index[count])
         return itemgetter(*at)
+
+
+def _axis(start: int, step: int, length: int) -> Iterable[int]:
+    """`length` values from `start` by `step`: a range, or `start` repeated where `step` is 0."""
+    return range(start, start + step * length, step) if step else itertools.repeat(start, length)
 
 
 @lru_cache(maxsize=64)
@@ -114,7 +145,6 @@ def _indices(count: int) -> tuple[int, ...]:
 
 # Builds a Cell from an (r, q) pair without a Python-level __new__ call
 _cell = partial(tuple.__new__, Cell)
-_backwards = itemgetter(slice(None, None, -1))
 _RETURNING_MODES = {mode.element: mode for mode in modes_for_kind(RETURNING)}
 # Whether a kind reads every odd line backwards; every other line is read forwards
 _ODD_LINES_BACKWARD = {BOUSTROPHEDON: True, RETURNING: False}
@@ -144,33 +174,24 @@ def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
 
     The canonical lines of the g-transformed size (`_columns`), each the
     cells (r, q) of one column q from the top, go through the affine map of
-    g's inverse; a line's image advances by that map's linear part, so it
-    is built from two ranges.  The canonical mode takes the same path with
-    the identity.
-    Both kinds share one `lines`: a boustrophedon plan takes it from the
-    returning plan of the same element.  Each line's reading orientation
-    follows `_ODD_LINES_BACKWARD`.
+    g's inverse.  Each line's image starts at the image of its top cell and
+    advances by the map's linear part applied to the column step (1, 0),
+    one `step` for every line.  The canonical mode takes the same path with
+    the identity.  A boustrophedon plan takes its geometry from the
+    returning plan of the same element, and holds that plan.  Each line's
+    reading orientation follows `_ODD_LINES_BACKWARD`.  No cell is built:
+    the plan's `lines`, `reading` and `reader` are computed on first use.
     """
     g = mode.element
     if _ODD_LINES_BACKWARD[mode.kind]:
-        lines = scan_lines(size, _RETURNING_MODES[g]).lines
-        k = len(lines)
-        reading = list(lines)
-        reading[1::2] = map(_backwards, lines[1::2])  # every odd line backwards
-        return ScanPlan(size, lines, ((False, True) * k)[:k], tuple(reading))
+        plan = scan_lines(size, _RETURNING_MODES[g])
+        k = len(plan.starts)
+        return ScanPlan(size, plan.step, plan.starts, ((False, True) * k)[:k], plan)
     target = transform_size(g, size)
     a, b, c, d, e, f = affine(invert(g), target)
-    built = []
-    for q, r, length in _columns(target.l, target.m, target.n):
-        # one of the column's two ranges below may be constant, and then the
-        # other one stops it
-        r0 = a * r + b * q + e
-        q0 = c * r + d * q + f
-        rows = range(r0, r0 + a * length, a) if a else itertools.repeat(r0)
-        cols = range(q0, q0 + c * length, c) if c else itertools.repeat(q0)
-        built.append(tuple(map(_cell, zip(rows, cols))))
-    lines = tuple(built)
-    return ScanPlan(size, lines, (False,) * len(lines), lines)
+    starts = tuple((a * r + b * q + e, c * r + d * q + f, length)
+                   for q, r, length in _columns(target.l, target.m, target.n))
+    return ScanPlan(size, (a, c), starts, (False,) * len(starts), None)
 
 
 @lru_cache(maxsize=None)  # one entry per pair of the 24 modes at most

@@ -41,12 +41,13 @@ TARGETS = {
                              "_searched_difference", "equivalent",
                              "exact_equivalent_for_size", "bounded_equivalent",
                              "_enumerated_difference", "_accepted_words"),
-    "hexscan/scan.py": ("_columns", "_line_lengths", "_carried_lines"),
+    "hexscan/scan.py": ("ScanPlan", "_axis", "_columns", "_line_lengths", "scan_lines",
+                        "_carried_lines"),
 }
 # module under src/ -> the test files run against each of its mutants
 TESTS = {
     "hexscan/langtools.py": ("tests/test_langtools.py", "tests/test_bounded_equivalent.py"),
-    "hexscan/scan.py": ("tests/test_scan.py", "tests/test_langtools.py",
+    "hexscan/scan.py": ("tests/test_scan.py", "tests/test_automata.py", "tests/test_langtools.py",
                         "tests/test_bounded_equivalent.py"),
 }
 

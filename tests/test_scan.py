@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hexscan import (
@@ -7,14 +9,23 @@ from hexscan import (
     RETURNING,
     canonical_mode,
     cell_count,
+    exact_equivalent_for_size,
+    make_uniform,
     modes_for_kind,
     parse_direction,
+    run,
     scan_lines,
 )
 from hexscan.hexgrid import Cell, cells
+from hexscan.langtools import _accepted_words
 from hexscan.symmetry import OP_NAMES, invert, transform_size
 
-from conftest import ALL_MODES, cube_cell_map
+from conftest import ALL_MODES, cube_cell_map, m_all, m_none, m_some
+
+CB = canonical_mode(BOUSTROPHEDON)
+# the largest size the reference pullback checks, in four modes
+LARGE = HexSize(57, 58, 58)
+LARGE_MODES = [parse_direction(c) for c in ("B:R1", "R:r4", "B:R0", "R:R3")]
 
 
 def all_small_sizes(limit):
@@ -42,6 +53,8 @@ def test_canonical_plan_222():
     assert plan.lines[0] == (Cell(1, -1), Cell(2, -1))
     assert plan.lines[1] == (Cell(0, 0), Cell(1, 0), Cell(2, 0))
     assert plan.lines[2] == (Cell(0, 1), Cell(1, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.step = (0, 1)  # the cache hands one plan to every caller
 
 
 def test_single_cell_every_mode():
@@ -124,8 +137,7 @@ def reference_plan(size, mode):
 
 
 def test_plans_match_reference_pullback():
-    large = [parse_direction(c) for c in ("B:R1", "R:r4", "B:R0", "R:R3")]
-    cases = [(size, ALL_MODES) for size in all_small_sizes(6)] + [(HexSize(57, 58, 58), large)]
+    cases = [(size, ALL_MODES) for size in all_small_sizes(6)] + [(LARGE, LARGE_MODES)]
     for size, modes in cases:
         for mode in modes:
             plan = scan_lines(size, mode)
@@ -146,16 +158,53 @@ def test_plan_reads_odd_boustrophedon_lines_backwards():
             assert plan.reading[i] == (line[::-1] if backward else line)
 
 
-@pytest.mark.parametrize("size", [HexSize(1, 1, 1), HexSize(2, 3, 2), HexSize(3, 2, 4)])
+@pytest.mark.parametrize("size", all_small_sizes(4) + [LARGE])
 def test_reader_gives_each_line_in_reading_order_then_the_border(size):
-    # a run reads one word, L1 # L2 # ... LK #; position n stands for `#`
+    # a run reads one word, L1 # L2 # ... LK #; position n stands for `#`.
+    # The expected word comes from the reference pullback, not from the plan
     n = cell_count(size)
     position = {cell: i for i, cell in enumerate(cells(size))}
-    for mode in ALL_MODES:
+    for mode in LARGE_MODES if size == LARGE else ALL_MODES:
         plan = scan_lines(size, mode)
+        _, _, reading = reference_plan(size, mode)
         want = []
-        for line in plan.reading:
+        for line in reading:
             want += [position[cell] for cell in line] + [n]
         word = plan.reader(range(n + 1))
         assert type(word) is tuple and list(word) == want, (size, mode.code)
-        assert word.count(n) == len(plan.lines), (size, mode.code)
+        assert word.count(n) == len(reading), (size, mode.code)
+
+
+def test_an_untraced_run_builds_no_cell():
+    # an untraced run and the enumeration oracle read only a plan's reader;
+    # its lines and reading are built where a trace or a witness asks
+    scan_lines.cache_clear()
+    sizes = [HexSize(1, 1, 1), HexSize(2, 3, 2), HexSize(3, 2, 4), HexSize(5, 4, 6)]
+    for size in sizes:
+        for mode in ALL_MODES:
+            assert run(m_all(mode.kind), make_uniform(size, "a"), mode)
+            assert _accepted_words(m_none(mode.kind), size, mode, ("a", "b")) == []
+    for size in sizes:
+        for mode in ALL_MODES:
+            plan = scan_lines(size, mode)
+            assert "reader" in plan.__dict__, (size, mode.code)
+            assert not {"lines", "reading"} & plan.__dict__.keys(), (size, mode.code)
+    # a trace and a witness still read the reference cells
+    size = sizes[2]
+    for mode in ALL_MODES:
+        _, trace = run(m_all(mode.kind), make_uniform(size, "a"), mode, trace=True)
+        _, _, reading = reference_plan(size, mode)
+        assert [s.cell for s in trace.steps] == [c for line in reading for c in (*line, None)]
+    size = sizes[3]
+    for kind in (BOUSTROPHEDON, RETURNING):
+        for element in ("R0", "r3"):
+            other = DirectionMode(kind, element)
+            witness = exact_equivalent_for_size(m_some(), CB, m_none(kind), other, size)
+            assert witness is not None and run(m_some(), witness, CB), other.code
+    read = 0
+    for mode in ALL_MODES:
+        plan = scan_lines(size, mode)
+        if "reading" in plan.__dict__:
+            read += 1
+            assert plan.reading == reference_plan(size, mode)[2], mode.code
+    assert read
