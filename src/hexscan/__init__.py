@@ -57,6 +57,7 @@ from .langtools import (
     accepted_set,
     bounded_equivalent,
     enumerate_pictures,
+    equal_at_every_size,
     equivalent,
     exact_equivalent_for_size,
     image_set,

@@ -24,11 +24,20 @@ kind and alphabet.  There are two oracles:
     (relative element r3 or R3), one side's rule table is transposed
     (`_transposed`), which makes the question one in the same order.  This
     oracle alone keeps the last question's search, one per thread, for its
-    next call to reuse.
+    next call to reuse, and puts each new question once to the closure
+    below: a question it certifies answers every size without a walk.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
-it.  `equivalent`, the entry point `hexscan equiv` calls, answers
+it.  On the same questions as the per-size oracle, `equal_at_every_size`
+decides equality at every size from one closure (`_certified`) over the
+pair search: a run reads every picture as a word of nonempty lines, each
+followed by `#`, and the closure steps every such word's pairs, tagged by
+line parity and by whether a line has begun.  It is sufficient, not
+necessary: two machines may differ only on words no size reads, and then it
+certifies nothing.  `equivalent` does not call it.
+
+`equivalent`, the entry point `hexscan equiv` calls, answers
 `bounded_equivalent`'s question from one oracle per question, chosen by the
 two modes: one pair search over every size where they read the same lines,
 in either order, and elsewhere (the questions whose op turns the line
@@ -451,17 +460,109 @@ def _lines(order: tuple, reading: tuple) -> tuple:
     return reading, order[1][len(reading) % 2]
 
 
-class _Kept(threading.local):
-    """This thread's last question and its search.
+def _certified(search: _PairSearch, order: tuple) -> bool:
+    """True only if `search`'s two sides agree on every word of nonempty lines `order` reads.
 
-    The question is (side-0 machine, side-1 machine, symbols, whether side
-    0 is read transposed).
+    A closure over `(Σ⁺ #)⁺`: it tags each pair it meets by the parity of
+    its line's index and by whether it is at the line's start or inside the
+    line, after at least one cell.  A start pair steps `_ENTER` where its
+    line is carried, then `_ANY`; an inside pair steps `_ANY`, and `#` into
+    the next line's start.  Only the pairs new to a tag are stepped.  Where
+    the order is the same, line i is carried where `carried[i % 2]` at any
+    line count, and every pair reached by `#` is tested.  Where it is
+    reversed, the pattern depends on the line count K, so the closure runs
+    once for each parity of K, testing only the pairs reached by the `#`
+    of a line whose index has the other parity: the last line of K.  A
+    size's words are among these, so True holds at every size; False only
+    means some word of nonempty lines tells the sides apart, which may be
+    a word no size reads.
+    """
+    reversed_order, carried = order
+    # each run: the carried pattern, and the line parities whose `#` is tested
+    runs = [(carried[k], (1 - k,)) for k in (0, 1)] if reversed_order else [(carried[0], (0, 1))]
+    step = search._step
+    for pattern, ends in runs:
+        seen = {(0, False): search.start, (0, True): 0, (1, False): 0, (1, True): 0}
+        todo = [(0, False, search.start)]
+        while todo:
+            parity, inside, pairs = todo.pop()
+            if inside:  # one more cell, or the line's `#`
+                ended = step(pairs, BORDER_SYMBOL)
+                # `_bit` grows `refuting` as the steps meet new pairs
+                if parity in ends and ended & search.refuting:
+                    return False
+                reached = ((parity, True, step(pairs, _ANY)), (1 - parity, False, ended))
+            else:  # the line's first cell
+                if pattern[parity]:
+                    pairs = step(pairs, _ENTER)
+                reached = ((parity, True, step(pairs, _ANY)),)
+            for parity, inside, pairs in reached:
+                fresh = pairs & ~seen[parity, inside]
+                if fresh:
+                    seen[parity, inside] |= fresh
+                    todo.append((parity, inside, fresh))
+    return True
+
+
+class _Kept(threading.local):
+    """This thread's last question, its search and whether `_certified` certifies it.
+
+    The question is (side-0 machine, side-1 machine, symbols, the order
+    `scan._carried_lines` gives the two modes).
     """
 
-    key = search = None
+    key = search = certified = None
 
 
 _kept = _Kept()
+
+
+def _kept_question(
+    a1: HexAutomaton,
+    d1: DirectionMode,
+    a2: HexAutomaton,
+    d2: DirectionMode,
+    alphabet: Iterable[str] | None,
+) -> tuple:
+    """Check an aligned question and keep it: its order and side 1's mode.
+
+    A question this thread did not ask last gets a new search, and
+    `_certified`'s answer for it; the same question again keeps both.
+    ValueError where the modes do not align.
+    """
+    if alphabet is None:
+        alphabet = a1.alphabet & a2.alphabet
+    symbols, _ = _image_question(a1, d1, a2, d2, alphabet, "R0")
+    (a, mode0), (b, mode1) = _sides(a1, d1, a2, d2)
+    order = _carried_lines(mode0, mode1)
+    if order is None:
+        raise ValueError("exact comparison requires plans reading the same lines "
+                         f"in the same or the reverse order; {d1.code} and {d2.code} differ")
+    key = (a, b, symbols, order)
+    if _kept.key != key:
+        search = _search(a, b, symbols, order[0])
+        _kept.key, _kept.search, _kept.certified = key, search, _certified(search, order)
+    return order, mode1
+
+
+def equal_at_every_size(
+    a1: HexAutomaton,
+    d1: DirectionMode,
+    a2: HexAutomaton,
+    d2: DirectionMode,
+    alphabet: Iterable[str] | None = None,
+) -> bool:
+    """True only if a1 in d1 and a2 in d2 accept the same pictures at every size.
+
+    The questions, the default alphabet and the checks are
+    `exact_equivalent_for_size`'s, and so is the kept search.  One closure
+    (`_certified`) decides it over every word of nonempty lines, each
+    followed by `#`, which is more words than the sizes read: True is
+    certain, and False only says that some such word tells the two
+    machines apart, which may be one no hexagon produces.
+    """
+    _kept_question(a1, d1, a2, d2, alphabet)
+    return _kept.certified
 
 
 def exact_equivalent_for_size(
@@ -482,22 +583,16 @@ def exact_equivalent_for_size(
     and R:g, g and r0 after g, or g and r3 or R3 after g, do; otherwise
     ValueError, even at a size with a side of 1 where the two plans
     coincide.  No picture is enumerated.  This thread keeps the last
-    question's search (the two machines, the symbols and whether the order
-    is reversed) for consecutive calls on it, at any size and in any modes;
-    a different question replaces it.
+    question's search (the two machines, the symbols and the order the
+    modes give) for consecutive calls on it, at any size and in any modes
+    of that order; a different question replaces it.  A new question is
+    put once to the closure of `equal_at_every_size`: a kept question it
+    certifies answers None at every size without a walk, and any other
+    walks its size's lines.
     """
-    if alphabet is None:
-        alphabet = a1.alphabet & a2.alphabet
-    symbols, _ = _image_question(a1, d1, a2, d2, alphabet, "R0")
-    (a, mode0), (b, mode1) = _sides(a1, d1, a2, d2)
-    order = _carried_lines(mode0, mode1)
-    if order is None:
-        raise ValueError("exact per-size comparison requires plans reading the same lines "
-                         f"in the same or the reverse order; {d1.code} and {d2.code} differ "
-                         f"at {size}")
-    key = (a, b, symbols, order[0])
-    if _kept.key != key:
-        _kept.key, _kept.search = key, _search(*key)
+    order, mode1 = _kept_question(a1, d1, a2, d2, alphabet)
+    if _kept.certified:
+        return None
     if not _kept.search.mismatch(_lines(order, _line_lengths(size, mode1.element)), {}):
         return None
     return _searched_difference(_kept.search, size, _lines(order, scan_lines(size, mode1).reading))

@@ -160,6 +160,26 @@ def m_parity(alphabet=("a",)):
                      vr, br, "fe", ["fe", "be"])
 
 
+def r_all(alphabet=("a", "b")):
+    """The one-state returning machine that accepts every word, and so every picture."""
+    return automaton(RETURNING, ["f"], [], alphabet, [("f", s, "f") for s in alphabet],
+                     [("f", "f")], "f", ["f"])
+
+
+def r_no_short_then_long():
+    """Over {a}: rejects exactly the words whose first line has 1 cell and second at least 3.
+
+    Read in `R:R0` it accepts every picture: a size (l, m, n) has a first
+    line of n cells and a second of at most n + 1.  So it is equal to
+    `r_all(("a",))` at every size, and differs from it on words no size reads.
+    """
+    rules = [("s0", "a", "s1"), ("s1", "a", "g"), ("g", "a", "g"), ("t0", "a", "t1"),
+             ("t1", "a", "t2"), ("t2", "a", "x"), ("x", "a", "x")]
+    borders = [("s1", "t0"), ("g", "g"), ("t1", "g"), ("t2", "g"), ("x", "x")]
+    return automaton(RETURNING, ["s0", "s1", "g", "t0", "t1", "t2", "x"], [], ["a"], rules,
+                     borders, "s0", ["g", "t0"])
+
+
 def m_invalid():
     """Boustrophedon machine whose forward rule targets a backward state.
 

@@ -38,6 +38,7 @@ from pathlib import Path
 # module under src/ -> the top-level functions and classes whose code is mutated
 TARGETS = {
     "hexscan/langtools.py": ("_PairSearch", "_transposed", "_sides", "_search", "_lines",
+                             "_certified", "_kept_question", "equal_at_every_size",
                              "_searched_difference", "equivalent",
                              "exact_equivalent_for_size", "bounded_equivalent",
                              "_enumerated_difference", "_accepted_words"),

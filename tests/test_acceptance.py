@@ -40,6 +40,8 @@ from hexscan.langtools import (
     accepted_set,
     bounded_equivalent,
     enumerate_pictures,
+    equal_at_every_size,
+    equivalent,
     exact_equivalent_for_size,
     image_set,
 )
@@ -58,6 +60,7 @@ from conftest import (ALL_MODES, evaluate_word, expected_output_states, fooling_
 
 AB = ("a", "b")
 BOUND2 = SizeBound.max_side(2)
+BOUND6 = SizeBound.max_side(6)
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
 
@@ -336,10 +339,13 @@ def test_conversion_of_criterion_12_witness_is_near_its_bound():
 
 
 def test_criterion_13_exact_gate_to_side_6():
-    """Criteria 6 and 7's constructions, confirmed by the exact oracle.
+    """Criteria 6 and 7's constructions, confirmed at every size.
 
-    The same seeded pools as criteria 6 and 7, at every size with max side
-    at most 6 (216 sizes, up to 91 cells), where enumeration cannot reach.
+    The same seeded pools as criteria 6 and 7.  `equal_at_every_size`
+    certifies each pair at every size.  The per-size oracle confirms it at
+    every size with max side at most 6 (216 sizes, up to 91 cells), where
+    enumeration cannot reach: `exact_equivalent_for_size` answers a
+    certified question without a walk, so `equivalent` walks every size too.
     """
     start = time.time()
     sizes = _sizes_with_max_side(6)
@@ -348,15 +354,20 @@ def test_criterion_13_exact_gate_to_side_6():
     for i in range(50):
         a = random_ghbfa(rng, max_per_partition=4)
         d = determinize(a)
+        assert equal_at_every_size(a, CB, d, CB) is True, i
+        assert equivalent(a, CB, d, CB, AB, BOUND6) is None, i
         for size in sizes:
             assert exact_equivalent_for_size(a, CB, d, CB, size) is None, (i, size)
     rng = random.Random(707)
     for i in range(30):
         a = random_ghbfa(rng, max_per_partition=3)
         conv = hbfa_to_hrfa(a)
+        assert equal_at_every_size(a, CB, conv, CR) is True, i
+        assert equivalent(a, CB, conv, CR, AB, BOUND6) is None, i
         for size in sizes:
             assert exact_equivalent_for_size(a, CB, conv, CR, size) is None, (i, size)
-    _report(13, time.time() - start, 60, "50 determinizations + 30 conversions x 216 sizes")
+    _report(13, time.time() - start, 60,
+            "50 determinizations + 30 conversions, at every size and x 216 sizes")
 
 
 def test_criterion_13_pools_tell_mutants_apart():
@@ -399,14 +410,16 @@ def test_criterion_13_pools_tell_mutants_apart():
 
 
 def test_criterion_14_within_line_mirror_exact_to_side_6():
-    """Criteria 8 and 9's questions, by the exact oracle at max side 6.
+    """Criteria 8 and 9's questions, at every size and by the exact oracle at max side 6.
 
-    The same seeded pools, at every size with max side at most 6, each
-    question asked at one size after another: criterion 8's r0, r3 and
-    composed-R3 clauses, and criterion 9's question for each of the 12
-    elements g.  Modes g and r0 after g read the same lines in opposite
-    orientations; g and r3 or R3 after g read them in reverse order, which
-    the exact oracle answers by reading one side transposed.
+    The same seeded pools: criterion 8's r0, r3 and composed-R3 clauses,
+    and criterion 9's question for each of the 12 elements g.  Each
+    question is certified at every size by `equal_at_every_size`, walked at
+    every size with max side at most 6 by `equivalent`, and asked at one of
+    those sizes after another of `exact_equivalent_for_size`.  Modes g and
+    r0 after g read the same lines in opposite orientations; g and r3 or R3
+    after g read them in reverse order, which the exact oracle answers by
+    reading one side transposed.
     """
     start = time.time()
     sizes = _sizes_with_max_side(6)
@@ -417,6 +430,8 @@ def test_criterion_14_within_line_mirror_exact_to_side_6():
         mirrored = mirror_within_lines(a)
         for d1, built in ((r0, mirrored), (r3, mirror_line_order(a)),
                           (R3, mirror_line_order(mirrored))):
+            assert equal_at_every_size(a, d1, built, CR) is True, (i, d1.code)
+            assert equivalent(a, d1, built, CR, AB, BOUND6) is None, (i, d1.code)
             for size in sizes:
                 assert exact_equivalent_for_size(a, d1, built, CR, size) is None, (
                     i, d1.code, size)
@@ -429,6 +444,8 @@ def test_criterion_14_within_line_mirror_exact_to_side_6():
         base = hbfa_to_hrfa(a)
         for e in ("r3", "R3"):
             d1, built = DirectionMode(BOUSTROPHEDON, e), family_normalizer(base, e)
+            assert equal_at_every_size(a, d1, built, CR) is True, (i, d1.code)
+            assert equivalent(a, d1, built, CR, AB, BOUND6) is None, (i, d1.code)
             for size in sizes:
                 assert exact_equivalent_for_size(a, d1, built, CR, size) is None, (
                     i, d1.code, size)
@@ -446,8 +463,10 @@ def test_criterion_14_within_line_mirror_exact_to_side_6():
             k = "r0" if is_rotation(g) else "r3"
             d1 = DirectionMode(d_in.kind, invert(g))
             d2 = DirectionMode(RETURNING, compose(k, invert(g)))
+            assert equal_at_every_size(a, d1, built[k], d2) is True, (i, g)
+            assert equivalent(a, d1, built[k], d2, AB, BOUND6) is None, (i, g)
             for size in sizes:
                 assert exact_equivalent_for_size(a, d1, built[k], d2, size) is None, (i, g, size)
     _report(14, time.time() - start, 60,
             "30 automata x {r0, r3, R3} + 16 x {r3, R3} + 16 automata x 12 elements, "
-            "x 216 sizes")
+            "at every size and x 216 sizes")

@@ -29,7 +29,7 @@ from hexscan.langtools import SizeBound, exact_equivalent_for_size
 from test_symmetry import _COLS, TABLE
 from conftest import (
     expected_output_states, is_deterministic, m_all, m_at_most, m_none, m_parity, m_pipe_named,
-    m_plus_named, marker_picture, random_ghbfa, symbol_at,
+    m_plus_named, marker_picture, r_all, r_no_short_then_long, random_ghbfa, symbol_at,
 )
 
 COMMANDS = "render transform run determinize to-rfa mirror enum equiv group".split()
@@ -248,6 +248,18 @@ def test_equiv_decides_reversed_order_questions_at_any_bound(capsys, tmp_path):
                                                     parse_direction("R:R0"), size)))
     assert (code, out) == (1, serialize_picture(first))
     assert first.size == HexSize(1, 1, 2)
+
+
+def test_equiv_prints_equal_where_only_words_no_size_reads_differ(capsys, tmp_path):
+    # the two machines differ on words whose first line has 1 cell and
+    # second at least 3, which the closure over words of nonempty lines
+    # meets but no size reads: the pictures agree, so the answer is EQUAL
+    paths = []
+    for name, a in (("short-long", r_no_short_then_long()), ("all", r_all(("a",)))):
+        paths.append(tmp_path / f"{name}.hxa")
+        paths[-1].write_text(serialize_automaton(a))
+    assert run_cli(capsys, "equiv", "--a1", str(paths[0]), "--d1", "R:R0", "--a2", str(paths[1]),
+                   "--d2", "R:R0", "--max-side", "6") == (0, "EQUAL\n", "")
 
 
 def test_render(capsys, tmp_path):

@@ -24,6 +24,7 @@ from hexscan.langtools import (
     accepted_set,
     bounded_equivalent,
     enumerate_pictures,
+    equal_at_every_size,
     equivalent,
     exact_equivalent_for_size,
     image_set,
@@ -33,8 +34,8 @@ from hexscan.automata import InvalidAutomatonError
 from hexscan.hexgrid import cells, picture_from_cells
 from hexscan.transforms import hbfa_to_hrfa, mirror_within_lines
 
-from conftest import (ALL_MODES, m_all, m_at_most, m_invalid, m_none, m_parity, m_some,
-                      random_ghbfa, random_ghrfa, symbol_at)
+from conftest import (ALL_MODES, m_all, m_at_most, m_invalid, m_none, m_parity, m_some, r_all,
+                      r_no_short_then_long, random_ghbfa, random_ghrfa, symbol_at)
 
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
@@ -923,6 +924,213 @@ def test_equivalent_leaves_the_kept_search_alone(monkeypatch):
     witness = equivalent(m_all(), CB, m_some("a"), CB, AB, SizeBound.max_side(6))
     assert witness == make_uniform(one, "b")
     assert planned == {one}
+
+
+def _aligned_questions(seed, count):
+    """Seeded questions in R0, r0, r3 and R3 relatives, a source of each kind as a1.
+
+    a2 is, in turn, a1's image, that image with one state's finality
+    flipped, and a random machine of either kind.
+    """
+    from dataclasses import replace
+
+    from hexscan import DirectionMode
+    from hexscan.transforms import family_normalizer
+
+    rng = random.Random(seed)
+    for draw in range(count):
+        kind = rng.choice((BOUSTROPHEDON, RETURNING))
+        a1 = random_ghbfa(rng, max_per_partition=2) if kind == BOUSTROPHEDON else random_ghrfa(rng)
+        relative = rng.choice(("R0", "r0", "r3", "R3"))
+        image = family_normalizer(a1 if kind == RETURNING else hbfa_to_hrfa(a1), relative)
+        if draw % 3 == 0:
+            a2 = image
+        elif draw % 3 == 1:
+            a2 = replace(image, finals=image.finals ^ {rng.choice(sorted(image.states))})
+        else:
+            a2 = random_ghbfa(rng, max_per_partition=2) if rng.random() < 0.5 else random_ghrfa(rng)
+        h = rng.choice(OP_NAMES)
+        yield a1, DirectionMode(kind, h), a2, DirectionMode(a2.kind, compose(relative, h))
+
+
+def test_every_question_the_closure_certifies_is_equal_at_every_walked_size(monkeypatch):
+    # Where `equal_at_every_size` certifies a question, `equivalent` walks
+    # every size with max side <= 4 and finds none unequal, and the kept
+    # question answers None at each size without calling `mismatch`.  The
+    # closure answers alike with the arguments swapped.  The counts measured
+    # when this test was written are the floors.
+    from hexscan import langtools
+
+    bound = SizeBound.max_side(4)
+    walks = []
+    mismatch = langtools._PairSearch.mismatch
+
+    def counted(search, lines, fixed):
+        walks.append(lines)
+        return mismatch(search, lines, fixed)
+
+    monkeypatch.setattr(langtools._PairSearch, "mismatch", counted)
+    certified = refuted = 0
+    for a1, d1, a2, d2 in _aligned_questions(3030, 150):
+        walks.clear()
+        equal = equal_at_every_size(a1, d1, a2, d2)
+        assert equal_at_every_size(a2, d2, a1, d1) is equal, (d1.code, d2.code)
+        if equal:
+            certified += 1
+            assert all(exact_equivalent_for_size(a1, d1, a2, d2, s) is None for s in bound.sizes)
+            assert not walks, (d1.code, d2.code)
+            assert equivalent(a1, d1, a2, d2, AB, bound) is None, (d1.code, d2.code)
+            assert walks, (d1.code, d2.code)
+        else:
+            refuted += equivalent(a1, d1, a2, d2, AB, bound) is not None
+    # on this seed, every question left uncertified is unequal at some size
+    assert certified >= 117 and refuted == 150 - certified, (certified, refuted)
+
+
+def test_a_pair_equal_at_every_size_may_be_left_uncertified():
+    # The two machines differ only on words whose first line has 1 cell and
+    # second line at least 3, which no size reads: the closure does not
+    # certify them, and both per-size oracles find them equal at every size
+    # with max side <= 6.  "Not certified" is never "unequal".
+    a, everything = r_no_short_then_long(), r_all(("a",))
+    assert equal_at_every_size(a, CR, everything, CR) is False
+    assert equal_at_every_size(everything, CR, a, CR) is False
+    sizes = SizeBound.max_side(6)
+    assert all(exact_equivalent_for_size(a, CR, everything, CR, s) is None for s in sizes.sizes)
+    assert equivalent(a, CR, everything, CR, ("a",), sizes) is None
+
+
+def test_the_closure_reads_no_empty_line():
+    # `lines` dies on a `#` at a line's start and accepts every other word:
+    # it is equal to the all-words machine wherever no line is empty, so at
+    # every size, in either line order
+    from hexscan import DirectionMode, automaton
+
+    lines = automaton(RETURNING, ["s", "i"], [], AB,
+                      [(p, x, "i") for p in ("s", "i") for x in AB], [("i", "s")], "s", ["s"])
+    for relative in ("R0", "r0", "r3", "R3"):
+        d2 = DirectionMode(RETURNING, relative)
+        assert equal_at_every_size(lines, CR, r_all(), d2) is True, relative
+        assert equal_at_every_size(r_all(), d2, lines, CR) is True, relative
+        assert equivalent(lines, CR, r_all(), d2, AB, SizeBound.max_side(3)) is None, relative
+
+
+def test_the_closure_steps_the_start_pair_again_inside_a_line():
+    # `second_a` accepts exactly the words of two lines whose second is
+    # "a": it is back at its start after that `a`, and never inside its
+    # first line, so the closure meets the start pair again only inside an
+    # odd line, where it must step it as any other pair
+    from dataclasses import replace
+
+    from hexscan import automaton
+
+    second_a = automaton(RETURNING, ["s", "m", "e", "f"], [], AB,
+                         [(p, x, "m") for p in ("s", "m") for x in AB] + [("e", "a", "s")],
+                         [("m", "e"), ("s", "f")], "s", ["f"])
+    nothing = replace(r_all(), finals=frozenset())
+    assert equal_at_every_size(nothing, CR, second_a, CR) is False
+    w = equivalent(nothing, CR, second_a, CR, AB, SizeBound.max_side(2))
+    assert w == make_uniform(HexSize(1, 2, 1), "a")
+
+
+def _line_count_parity(kind, odd):
+    """Accepts iff the line count is odd, with `odd`, else iff it is even.
+
+    State e follows an even count of lines and o an odd one, forward and
+    backward states of a boustrophedon machine alike.
+    """
+    from hexscan import automaton
+
+    rules = [(p, x, p) for p in ("e", "o") for x in AB]
+    return automaton(kind, ["e"], ["o"], AB, rules, [("e", "o"), ("o", "e")], "e",
+                     ["o" if odd else "e"])
+
+
+def test_the_closure_tests_the_ends_of_lines_of_either_parity():
+    # A machine that accepts iff the line count is odd, or iff it is even,
+    # against an all-pictures machine: they differ only at line counts of
+    # one parity, so the closure must test refutation after lines of either
+    # parity, in both line orders, with either machine as side 0.
+    from hexscan import DirectionMode
+
+    for kind, odd, relative, g in itertools.product((BOUSTROPHEDON, RETURNING), (False, True),
+                                                    ("R0", "r0", "r3", "R3"), ("R0", "r1")):
+        count = _line_count_parity(kind, odd)
+        d1, d2 = DirectionMode(kind, g), DirectionMode(RETURNING, compose(relative, g))
+        # as many states as `count`, which is then side 0, and fewer
+        for everything in (m_all(RETURNING), r_all()):
+            assert equal_at_every_size(count, d1, everything, d2) is False, (d1.code, d2.code)
+            w = equivalent(count, d1, everything, d2, AB, SizeBound.max_side(2))
+            assert len(scan_lines(w.size, d2).lines) % 2 == (0 if odd else 1), (d1.code, d2.code)
+
+
+def _asymmetric_boustrophedon_questions():
+    """36 equal questions: 12 boustrophedon sources, each against three images of it.
+
+    A source is kept only where it tells an odd line from its reverse: read
+    as a returning machine, with no line reversed, it accepts another
+    language at one of four small sizes.  That is how
+    `test_reversed_line_pool_kills_a_walk_in_the_carriers_order` selects its
+    pairs.  Each source a, in B:h, is asked against its conversion in R:h
+    (the same line order) and against the conversion's r3 and R3 images in
+    R:r3 and R:R3 after h (the reverse order, where a is side 0 and the
+    lines it carries depend on the parity of the line count).
+    """
+    from dataclasses import replace
+
+    from hexscan import DirectionMode
+    from hexscan.transforms import family_normalizer
+
+    rng = random.Random(3131)
+    sizes = (HexSize(2, 2, 2), HexSize(2, 3, 2), HexSize(3, 2, 2), HexSize(2, 2, 3))
+    questions = []
+    for _ in range(400):
+        a = random_ghbfa(rng, max_per_partition=2)
+        if all(exact_equivalent_for_size(a, CB, replace(a, kind=RETURNING), CR, s) is None
+               for s in sizes):
+            continue
+        conv, h = hbfa_to_hrfa(a), rng.choice(OP_NAMES)
+        d1 = DirectionMode(BOUSTROPHEDON, h)
+        questions.append((a, d1, conv, DirectionMode(RETURNING, h)))
+        for relative in ("r3", "R3"):
+            questions.append((a, d1, family_normalizer(conv, relative),
+                              DirectionMode(RETURNING, compose(relative, h))))
+        if len(questions) == 36:
+            return questions
+    raise AssertionError(f"400 draws gave only {len(questions) // 3} asymmetric sources")
+
+
+def test_asymmetric_pool_kills_two_wrong_carried_patterns(monkeypatch):
+    # Every question is certified.  Two wrong carried patterns must lose
+    # certificates, and the per-size oracle, walking with the same wrong
+    # pattern, must find a witness within max side 6 on the same questions:
+    #   * the pattern shifted by one line, in either line order;
+    #   * in reverse order, the pattern of the wrong parity of the line
+    #     count (the same order has one pattern for both parities).
+    from hexscan import langtools
+
+    questions = _asymmetric_boustrophedon_questions()
+    assert all(equal_at_every_size(*q) for q in questions)
+    carried = langtools._carried_lines
+
+    def shifted(d0, d1):
+        order = carried(d0, d1)
+        return order and (order[0], tuple(pattern[::-1] for pattern in order[1]))
+
+    def wrong_parity(d0, d1):
+        order = carried(d0, d1)
+        return order and (order[0], order[1][::-1])
+
+    sizes = SizeBound.max_side(6).sorted_sizes()
+    for mutant, reversed_only in ((shifted, False), (wrong_parity, True)):
+        monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+        monkeypatch.setattr(langtools, "_carried_lines", mutant)
+        for i, q in enumerate(questions):
+            should_kill = not reversed_only or i % 3 > 0
+            assert equal_at_every_size(*q) is not should_kill, (mutant.__name__, i)
+            if should_kill:
+                assert any(exact_equivalent_for_size(*q, s) for s in sizes), (mutant.__name__, i)
+        monkeypatch.undo()
 
 
 def test_exact_oracle_agrees_with_enumeration_on_multi_character_symbols():

@@ -38,6 +38,7 @@ from conftest import (
     m_none,
     m_parity,
     m_pipe_named,
+    r_all,
     r_pipe_named,
     random_ghbfa,
     random_ghrfa,
@@ -48,11 +49,6 @@ BOUND = SizeBound.max_side(2)
 CB = canonical_mode(BOUSTROPHEDON)
 CR = canonical_mode(RETURNING)
 AB = ("a", "b")
-
-
-def returning_all():
-    return automaton(RETURNING, ["f"], [], AB,
-                     [("f", "a", "f"), ("f", "b", "f")], [("f", "f")], "f", ["f"])
 
 
 def test_hbfa_to_hrfa_validates_and_counts():
@@ -66,7 +62,7 @@ def test_hbfa_to_hrfa_validates_and_counts():
 
 def test_hbfa_to_hrfa_requires_boustrophedon():
     with pytest.raises(ValueError):
-        hbfa_to_hrfa(returning_all())
+        hbfa_to_hrfa(r_all())
     # and the mirrors a returning machine
     for build in (mirror_within_lines, point_reflection):
         with pytest.raises(ValueError, match="^input must be a returning automaton$"):
@@ -111,7 +107,7 @@ def test_conversion_pool_tells_conversion_from_unreversed_reading():
 
 
 def test_mirror_within_lines_counts_and_language(rng):
-    a = returning_all()
+    a = r_all()
     out = mirror_within_lines(a)
     assert validate(out) == []
     assert len(out.states) == len(a.states) ** 3 + 1
@@ -137,7 +133,7 @@ def test_mirror_within_lines_first_cell_becomes_last():
 
 
 def test_mirror_line_order_language(rng):
-    a = returning_all()
+    a = r_all()
     out = mirror_line_order(a)
     assert validate(out) == []
     assert len(out.states) == expected_output_states("mirror-line-order", a)
