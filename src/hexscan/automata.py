@@ -335,6 +335,26 @@ def determinize(a: HexAutomaton) -> HexAutomaton:
     )
 
 
+def _reversal(a: HexAutomaton) -> HexAutomaton:
+    """`a` reversed as an NFA, for either kind: a returning machine in |Q| + 2 states.
+
+    Where `a` accepts L1 # ... # LK #, this accepts LK^R # ... # L1^R # and
+    no other word of nonempty lines.  Every rule is turned around (input
+    state i in sorted order is x[i]), a fresh start x0 takes the reversed
+    last cell read of a run that a border rule then carries into a final
+    state, and the renamed input start enters the fresh final xF on `#`.
+    xF has no successors, so one entered at an inner `#` dies.
+    """
+    x = {q: f"x[{i}]" for i, q in enumerate(sorted(a.states))}
+    last = {y for y, f in a.border_rules if f in a.finals}
+    value_rules = {(x[q], sym, x[p]) for p, sym, q in a.value_rules}
+    value_rules.update(("x0", sym, x[p]) for p, sym, q in a.value_rules if q in last)
+    border_rules = {(x[q], x[p]) for p, q in a.border_rules}
+    border_rules.add((x[a.start], "xF"))
+    states = ["x0", "xF", *x.values()]
+    return automaton(RETURNING, states, [], a.alphabet, value_rules, border_rules, "x0", ["xF"])
+
+
 # --- text format -----------------------------------------------------------
 #
 # %HXA 1

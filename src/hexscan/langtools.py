@@ -21,11 +21,14 @@ kind and alphabet.  There are two oracles:
     per line; a mismatch's plan and counterexample come after, greedily,
     cell by cell in row-major order, each cell fixed to the first symbol
     for which a mismatch is still reachable.  Where the order is reversed
-    (relative element r3 or R3), one side's rule table is transposed
-    (`_transposed`), which makes the question one in the same order.  This
-    oracle alone keeps the last question's search, one per thread, for its
-    next call to reuse, and puts each new question once to the closure
-    below: a question it certifies answers every size without a walk.
+    (relative element r3 or R3), one side is read as its reversal
+    (`automata._reversal`, `point_reflection`'s construction), which makes
+    the question one in the same order.  One function, `_aligned`, builds
+    every such question (`_Question`), for all three entry points that ask
+    one.  This oracle alone keeps the last question, one per thread, keyed
+    by the call's arguments but the size, for its next call to reuse, and
+    puts each new question once to the closure below: a question it
+    certifies answers every size without a walk.
 
 The two agree wherever both run, witness included; every language-level
 claim in the test suite is accepted only when one of these oracles confirms
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .hexgrid import (
@@ -64,7 +68,7 @@ from .hexgrid import (
     row_widths,
 )
 from .symmetry import apply_op, check_op, compose, invert, transform_size
-from .automata import HexAutomaton, IndexedAutomaton, _check_question, _union
+from .automata import HexAutomaton, IndexedAutomaton, _check_question, _reversal, _union
 from .scan import _SIDES, DirectionMode, _carried_lines, _line_lengths, scan_lines
 
 
@@ -240,9 +244,7 @@ def _image_question(
     """A checked question's symbols, and the mode a1 is read in at the image sizes."""
     symbols = _symbols(alphabet)
     check_op(op)
-    # R0 leaves d1 as it is; the per-size oracle asks with R0 on every call,
-    # where rebuilding the mode is a measurable share of a kept search's answer
-    image_mode = d1 if op == "R0" else DirectionMode(d1.kind, compose(d1.element, invert(op)))
+    image_mode = DirectionMode(d1.kind, compose(d1.element, invert(op)))
     _check_question(a1, d1, symbols)
     _check_question(a2, d2, symbols)
     return symbols, image_mode
@@ -301,12 +303,12 @@ class _PairSearch:
 
     One search serves one question, the two sides and the symbols, at every
     size and in every pair of modes: a pair's successors on a read depend on
-    neither.  Each side is an `IndexedAutomaton`: a machine's rule table, or
-    for side 0 its transposition (`_transposed`).  Side 0 carries the
-    relation on a line the two plans read in opposite orientations:
-    `(F, M)`, with `F` its frontier at the line's start and `M[p]` the
-    states reachable from `p` by reading the line's symbols so far in
-    reverse, one bitmask per state.  A symbol w updates it as
+    neither.  Each side is an `IndexedAutomaton`: a machine's rule table,
+    or for side 0 that of its reversal (`automata._reversal`).  Side 0
+    carries the relation on a line the two plans read in opposite
+    orientations: `(F, M)`, with `F` its frontier at the line's start and
+    `M[p]` the states reachable from `p` by reading the line's symbols so
+    far in reverse, one bitmask per state.  A symbol w updates it as
     M'[p] = union of M[q] over q in delta(p, w); the line's `#` applies `M`
     to `F` and steps the frontier that gives.  Each pair `(x0, x1)` the
     search meets gets the next bit index, so a set of pairs is one int.  A
@@ -410,45 +412,6 @@ class _PairSearch:
         return bool(pairs & self.refuting)
 
 
-def _transposed(side: IndexedAutomaton) -> IndexedAutomaton:
-    """`side` read backwards, with one more state, top (bit n): a reversed-order search's side 0.
-
-    Where `side` accepts L1 # L2 # ... # LK #, this accepts
-    LK^R # ... # L2^R # L1^R #, and no other word of nonempty lines.  Every
-    rule is turned around; the start is the finals stepped back over `#`,
-    and the original start steps on `#` into top, which has no successors
-    and is the only final.  Lines are never empty, so a top entered at an
-    inner `#` dies at the next cell.
-    """
-    n = len(side.names)
-    value = {}
-    for sym, rows in side.value.items():
-        back = [0] * (n + 1)
-        for p, row in enumerate(rows):
-            while row:
-                low = row & -row
-                row ^= low
-                back[low.bit_length() - 1] |= 1 << p
-        value[sym] = back
-    border = value[BORDER_SYMBOL]
-    start = _union(border, side.finals_mask)
-    border[side.start_mask.bit_length() - 1] |= 1 << n
-    return IndexedAutomaton((*side.names, "top"), {sym: tuple(rows) for sym, rows in value.items()},
-                            start, 1 << n)
-
-
-def _sides(a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton, d2: DirectionMode) -> tuple:
-    """A pair search's sides 0 and 1, as (machine, mode): side 0 has fewer states, a1 on a tie."""
-    return ((a2, d2), (a1, d1)) if len(a2.states) < len(a1.states) else ((a1, d1), (a2, d2))
-
-
-def _search(a0: HexAutomaton, a1: HexAutomaton, symbols: tuple[str, ...],
-            transposed: bool) -> _PairSearch:
-    """The pair search of side 0 `a0`, read transposed where `transposed`, against side 1 `a1`."""
-    s0 = a0._indexed
-    return _PairSearch(_transposed(s0) if transposed else s0, a1._indexed, symbols)
-
-
 def _lines(order: tuple, reading: tuple) -> tuple:
     """A pair search's lines: side 1's, each its cells or its length, and the carried pattern.
 
@@ -504,45 +467,68 @@ def _certified(search: _PairSearch, order: tuple) -> bool:
     return True
 
 
-class _Kept(threading.local):
-    """This thread's last question, its search and whether `_certified` certifies it.
+@dataclass(frozen=True)
+class _Question:
+    """An aligned question: its search, side 0's machine, the modes' `order`, side 1's mode."""
 
-    The question is (side-0 machine, side-1 machine, symbols, the order
-    `scan._carried_lines` gives the two modes).
+    side0: HexAutomaton
+    order: tuple
+    mode1: DirectionMode
+    search: _PairSearch
+
+    @cached_property
+    def certified(self) -> bool:
+        return _certified(self.search, self.order)
+
+
+def _aligned(a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton, d2: DirectionMode,
+             symbols: tuple[str, ...]) -> _Question | None:
+    """The checked question of a1 in d1 against a2 in d2; None where the modes do not align.
+
+    Side 0 is the machine with fewer states, a1 on a tie.  Where the order is
+    reversed (relative element r3 or R3), side 0 is read as its reversal
+    (`automata._reversal`), which makes the question one in the same order.
     """
+    swap = len(a2.states) < len(a1.states)
+    (a, mode0), (b, mode1) = ((a2, d2), (a1, d1)) if swap else ((a1, d1), (a2, d2))
+    order = _carried_lines(mode0, mode1)
+    if order is None:
+        return None
+    s0 = _reversal(a)._indexed if order[0] else a._indexed
+    return _Question(a, order, mode1, _PairSearch(s0, b._indexed, symbols))
 
-    key = search = certified = None
+
+class _Kept(threading.local):
+    """This thread's last kept `_Question`, and its key: (a1, d1, a2, d2, alphabet)."""
+
+    key = question = None
 
 
 _kept = _Kept()
 
 
-def _kept_question(
-    a1: HexAutomaton,
-    d1: DirectionMode,
-    a2: HexAutomaton,
-    d2: DirectionMode,
-    alphabet: Iterable[str] | None,
-) -> tuple:
-    """Check an aligned question and keep it: its order and side 1's mode.
+def _kept_question(a1: HexAutomaton, d1: DirectionMode, a2: HexAutomaton, d2: DirectionMode,
+                   alphabet: Iterable[str] | None) -> _Question:
+    """The aligned question of these arguments, kept for this thread's next call.
 
-    A question this thread did not ask last gets a new search, and
-    `_certified`'s answer for it; the same question again keeps both.
-    ValueError where the modes do not align.
+    Arguments equal to the last call's give its question, unchecked: the
+    alphabet is read once, into a frozenset, so a set changed since, or a
+    generator, is compared by what it holds now.  Any others are checked
+    and get a new question.  ValueError where the modes do not align.
     """
-    if alphabet is None:
-        alphabet = a1.alphabet & a2.alphabet
-    symbols, _ = _image_question(a1, d1, a2, d2, alphabet, "R0")
-    (a, mode0), (b, mode1) = _sides(a1, d1, a2, d2)
-    order = _carried_lines(mode0, mode1)
-    if order is None:
+    given = alphabet if alphabet is None else frozenset(alphabet)
+    key = (a1, d1, a2, d2, given)
+    if _kept.key == key:
+        return _kept.question
+    if given is None:
+        given = a1.alphabet & a2.alphabet
+    symbols, _ = _image_question(a1, d1, a2, d2, given, "R0")
+    question = _aligned(a1, d1, a2, d2, symbols)
+    if question is None:
         raise ValueError("exact comparison requires plans reading the same lines "
                          f"in the same or the reverse order; {d1.code} and {d2.code} differ")
-    key = (a, b, symbols, order)
-    if _kept.key != key:
-        search = _search(a, b, symbols, order[0])
-        _kept.key, _kept.search, _kept.certified = key, search, _certified(search, order)
-    return order, mode1
+    _kept.key, _kept.question = key, question
+    return question
 
 
 def equal_at_every_size(
@@ -561,8 +547,7 @@ def equal_at_every_size(
     certain, and False only says that some such word tells the two
     machines apart, which may be one no hexagon produces.
     """
-    _kept_question(a1, d1, a2, d2, alphabet)
-    return _kept.certified
+    return _kept_question(a1, d1, a2, d2, alphabet).certified
 
 
 def exact_equivalent_for_size(
@@ -583,19 +568,20 @@ def exact_equivalent_for_size(
     and R:g, g and r0 after g, or g and r3 or R3 after g, do; otherwise
     ValueError, even at a size with a side of 1 where the two plans
     coincide.  No picture is enumerated.  This thread keeps the last
-    question's search (the two machines, the symbols and the order the
-    modes give) for consecutive calls on it, at any size and in any modes
-    of that order; a different question replaces it.  A new question is
-    put once to the closure of `equal_at_every_size`: a kept question it
-    certifies answers None at every size without a walk, and any other
-    walks its size's lines.
+    question, its search included, for consecutive calls with the same
+    arguments but the size (machines, modes and alphabet equal by value),
+    which it answers without checking them again; any other call replaces
+    it.  A new question is put once to the closure of
+    `equal_at_every_size`: a kept question it certifies answers None at
+    every size without a walk, and any other walks its size's lines.
     """
-    order, mode1 = _kept_question(a1, d1, a2, d2, alphabet)
-    if _kept.certified:
+    question = _kept_question(a1, d1, a2, d2, alphabet)
+    if question.certified:
         return None
-    if not _kept.search.mismatch(_lines(order, _line_lengths(size, mode1.element)), {}):
+    order, mode1, search = question.order, question.mode1, question.search
+    if not search.mismatch(_lines(order, _line_lengths(size, mode1.element)), {}):
         return None
-    return _searched_difference(_kept.search, size, _lines(order, scan_lines(size, mode1).reading))
+    return _searched_difference(search, size, _lines(order, scan_lines(size, mode1).reading))
 
 
 def _searched_difference(search: _PairSearch, size: HexSize, lines: tuple) -> HexPicture:
@@ -640,24 +626,23 @@ def equivalent(
     in the same or the reverse order (`scan._carried_lines`), one pair
     search decides every size from its line lengths, with the carried
     pattern the two modes and its line count give; in reverse order its
-    side 0 is read transposed.  Only a witness's image size is built, and
-    its plan.  Otherwise
-    `bounded_equivalent` answers, unless the bound's pictures, counted from
-    its cell counts alone (an op keeps them), exceed `_ENUMERATION_BUDGET`:
-    then the question is refused with a ValueError before any size is
-    imaged or plan built.
+    side 0 is read as its reversal.  The question is `_aligned`'s, built
+    for the call and kept by none after it.  Only a witness's image size is
+    built, and its plan.  Otherwise `bounded_equivalent` answers, unless
+    the bound's pictures, counted from its cell counts alone (an op keeps
+    them), exceed `_ENUMERATION_BUDGET`: then the question is refused with
+    a ValueError before any size is imaged or plan built.
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
-    (a, mode0), (b, mode1) = _sides(a1, image_mode, a2, d2)
-    order = _carried_lines(mode0, mode1)
-    if order is None:
+    question = _aligned(a1, image_mode, a2, d2, symbols)
+    if question is None:
         # two symbols on 21 cells are over the budget: no larger power is computed
         counts = (len(symbols) ** min(cell_count(size), 21) for size in bound.sizes)
         if any(total > _ENUMERATION_BUDGET for total in itertools.accumulate(counts)):
             raise ValueError(f"the question needs more than {_ENUMERATION_BUDGET} pictures "
                              "enumerated where the two plans do not align")
         return bounded_equivalent(a1, d1, a2, d2, symbols, bound, op)
-    search = _search(a, b, symbols, order[0])
+    order, mode1, search = question.order, question.mode1, question.search
     # a size's image has in mode1 the lines the size has in `element`
     sides, element = _SIDES[op], compose(mode1.element, op)
     for size in sorted(bound.sizes, key=lambda s: (cell_count(s), sides(s.as_tuple()))):

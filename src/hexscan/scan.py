@@ -203,13 +203,13 @@ def _carried_lines(
     Two modes read the same lines at every size exactly when d1's element
     after d0's inverse is R0 or r0, which keep the line order, or R3 or r3,
     which reverse it; None where it is another.  Where the order is
-    reversed, side 0 is read transposed (`langtools._transposed`): last
+    reversed, side 0 is read as its reversal (`automata._reversal`): last
     line first and each line backwards, so at a size of K lines, line i of
     d1's plan is line K - 1 - i of d0's.  `carried[K % 2]` is the (even,
     odd) pattern of the lines of d1's plan that side 0 reads against d1's
     orientation.  Between two returning modes that is every line under r0
-    (each line turned in place) and r3 (each line kept, and the
-    transposition turns it), and none under R0 and R3.  A kind that reads
+    (each line turned in place) and r3 (each line kept, and the reversal
+    turns it), and none under R0 and R3.  A kind that reads
     odd lines backwards flips its own odd lines: d1's line i, and d0's line
     K - 1 - i, which is odd where i and K have the same parity.
     """

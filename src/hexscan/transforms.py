@@ -14,7 +14,9 @@ language relates to the input's in a stated way:
     the scan-line family.
 
 R3 reverses the whole consumption word, so it needs no simulation: the
-reversed NFA reads it.  r3 is that reversal after the within-line mirror.
+reversed NFA reads it.  That reversal is `automata._reversal`, defined once
+for either kind: the exact oracle reads side 0 of an r3 or R3 question
+through it too.  r3 is the reversal after the within-line mirror.
 hbfa_to_hrfa and mirror_within_lines are one builder, _reverse_lines, that
 reads some lines against the input machine's processing order: the lines
 the boustrophedon machine reads in backward states, or every line.  It uses
@@ -37,7 +39,7 @@ never by pasting input names, so no two output states share a name.
 
 from __future__ import annotations
 
-from .automata import HexAutomaton, automaton
+from .automata import HexAutomaton, _reversal, automaton
 from .scan import BOUSTROPHEDON, RETURNING
 
 
@@ -109,22 +111,13 @@ def point_reflection(a: HexAutomaton) -> HexAutomaton:
 
     The input reads L1 # L2 # ... # LK #; the 180-degree rotation reads
     LK^R # ... # L1^R #, the reversed word with its leading border moved to
-    the end.  So the input is reversed as an NFA: every rule is turned
-    around, a fresh start x0 takes the reversed last cell read of a run that
-    a border rule then carries into a final state, and one border rule from
-    the renamed input start reaches the fresh final xF.  Lines are never
-    empty, so the first cell read always comes from x0.  States: |Q| + 2.
+    the end.  So the input is reversed as an NFA (`automata._reversal`,
+    which the exact oracle also reads reversed-order questions through).
+    States: |Q| + 2.
     """
     if a.kind != RETURNING:
         raise ValueError("input must be a returning automaton")
-    x = {q: f"x[{i}]" for i, q in enumerate(sorted(a.states))}
-    last = {y for y, f in a.border_rules if f in a.finals}
-    value_rules = {(x[q], sym, x[p]) for p, sym, q in a.value_rules}
-    value_rules.update(("x0", sym, x[p]) for p, sym, q in a.value_rules if q in last)
-    border_rules = {(x[q], x[p]) for p, q in a.border_rules}
-    border_rules.add((x[a.start], "xF"))
-    states = ["x0", "xF", *x.values()]
-    return automaton(RETURNING, states, [], a.alphabet, value_rules, border_rules, "x0", ["xF"])
+    return _reversal(a)
 
 
 def mirror_line_order(a: HexAutomaton) -> HexAutomaton:

@@ -37,17 +37,19 @@ from pathlib import Path
 
 # module under src/ -> the top-level functions and classes whose code is mutated
 TARGETS = {
-    "hexscan/langtools.py": ("_PairSearch", "_transposed", "_sides", "_search", "_lines",
-                             "_certified", "_kept_question", "equal_at_every_size",
+    "hexscan/langtools.py": ("_PairSearch", "_lines", "_certified", "_Question", "_aligned",
+                             "_kept_question", "equal_at_every_size",
                              "_searched_difference", "equivalent",
                              "exact_equivalent_for_size", "bounded_equivalent",
                              "_enumerated_difference", "_accepted_words"),
+    "hexscan/automata.py": ("_reversal",),
     "hexscan/scan.py": ("ScanPlan", "_axis", "_columns", "_line_lengths", "scan_lines",
                         "_carried_lines"),
 }
 # module under src/ -> the test files run against each of its mutants
 TESTS = {
     "hexscan/langtools.py": ("tests/test_langtools.py", "tests/test_bounded_equivalent.py"),
+    "hexscan/automata.py": ("tests/test_langtools.py", "tests/test_transforms.py"),
     "hexscan/scan.py": ("tests/test_scan.py", "tests/test_automata.py", "tests/test_langtools.py",
                         "tests/test_bounded_equivalent.py"),
 }

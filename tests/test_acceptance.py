@@ -419,7 +419,7 @@ def test_criterion_14_within_line_mirror_exact_to_side_6():
     those sizes after another of `exact_equivalent_for_size`.  Modes g and
     r0 after g read the same lines in opposite orientations; g and r3 or R3
     after g read them in reverse order, which the exact oracle answers by
-    reading one side transposed.
+    reading one side as its reversal.
     """
     start = time.time()
     sizes = _sizes_with_max_side(6)

@@ -101,7 +101,7 @@ def test_oracle_matches_its_definition(monkeypatch):
 
     # `equivalent` builds one pair search per aligned question, equal or
     # not, and `bounded_equivalent` builds none
-    monkeypatch.setattr(langtools, "_search", counted("exact", langtools._search))
+    monkeypatch.setattr(langtools, "_PairSearch", counted("exact", langtools._PairSearch))
     monkeypatch.setattr(langtools, "_enumerated_difference",
                         counted("enumerated", langtools._enumerated_difference))
 

@@ -220,7 +220,7 @@ def test_equiv_decides_sizes_enumeration_cannot_reach(capsys, tmp_path):
 
 def test_equiv_decides_reversed_order_questions_at_any_bound(capsys, tmp_path):
     # r3 and R3 read the same lines as R0 in reverse order, which the exact
-    # oracle answers by reading one side transposed: max side 4 holds 2^37
+    # oracle answers by reading one side reversed: max side 4 holds 2^37
     # pictures at (4,4,4) alone, and none is enumerated
     from hexscan import automaton
 

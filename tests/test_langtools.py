@@ -251,7 +251,7 @@ def test_exact_oracle_agrees_with_enumeration_across_kinds(rng):
                 one_cell_carried += _carries_a_line_of_one_cell(d1, d2, size)
     assert unequal > 100 and one_cell_carried > 100, (unequal, one_cell_carried)
     # r3- and R3-relative modes g and r3 or R3 after g: the plans read the
-    # same lines in reverse order, so one side is read transposed, at sizes
+    # same lines in reverse order, so one side is read reversed, at sizes
     # of an even and of an odd line count
     unequal = equal = 0
     for size in _sizes_up_to_cells(13):
@@ -469,13 +469,14 @@ def _reversed_order_pool():
 
 
 def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
-    # Each of three wrong transpositions must change the answer to some of
-    # the reversed-order pool's questions:
-    #   * the start taken from the finals, not stepped back over `#`;
-    #   * top left out, with the machine's start made the final;
+    # Each of three wrong reversals must change the answer to some of the
+    # reversed-order pool's questions:
+    #   * x0 steps as the finals do, not as the finals stepped back over `#`;
+    #   * xF never entered, the machine's start made the final;
     #   * the carried pattern taken for the wrong parity of the line count.
+    from dataclasses import replace
+
     from hexscan import langtools
-    from hexscan.automata import IndexedAutomaton
 
     pool = _reversed_order_pool()
     for a1, d1, a2, d2, size, w in pool:
@@ -483,28 +484,36 @@ def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
     unequal = sum(w is not None for *_, w in pool)
     odd_counts = {len(scan_lines(size, d2).lines) % 2 for _, _, _, d2, size, _ in pool}
     assert 80 < unequal < len(pool) - 80 and odd_counts == {0, 1}, (unequal, len(pool))
-    # the transposed side is the machine with fewer states, of either
+    # the reversed side is the machine with fewer states, of either
     # argument and of either kind
-    side0 = {min((a1, a2), key=lambda a: len(a.states)) for a1, _, a2, _, _, _ in pool}
+    side0 = [min((a1, a2), key=lambda a: len(a.states)) for a1, _, a2, _, _, _ in pool]
     assert {a.kind for a in side0} == {BOUSTROPHEDON, RETURNING}
     assert {len(a1.states) <= len(a2.states) for a1, _, a2, _, _, _ in pool} == {True, False}
+    assert all(langtools._aligned(a1, d1, a2, d2, AB).side0 is a
+               for (a1, d1, a2, d2, _, _), a in zip(pool, side0))
 
-    transposed, carried = langtools._transposed, langtools._carried_lines
+    reversal, carried = langtools._reversal, langtools._carried_lines
 
-    def start_not_stepped_back(side):
-        return transposed(side)._replace(start_mask=side.finals_mask)
+    def x(a, q):
+        return f"x[{sorted(a.states).index(q)}]"
 
-    def no_top(side):
-        t, n = transposed(side), len(side.names)
-        rows = {sym: tuple(row & ~(1 << n) for row in value[:n]) for sym, value in t.value.items()}
-        return IndexedAutomaton(side.names, rows, t.start_mask, side.start_mask)
+    def start_not_stepped_back(a):
+        r = reversal(a)
+        rules = {rule for rule in r.value_rules if rule[0] != "x0"}
+        rules |= {("x0", sym, x(a, p)) for p, sym, q in a.value_rules if q in a.finals}
+        return replace(r, value_rules=frozenset(rules))
+
+    def start_made_final(a):
+        r = reversal(a)
+        return replace(r, border_rules=r.border_rules - {(x(a, a.start), "xF")},
+                       finals=frozenset({x(a, a.start)}))
 
     def wrong_parity(d0, d1):
         order = carried(d0, d1)
         return order and (order[0], order[1][::-1])
 
     kills = {}
-    for name, mutant in (("_transposed", start_not_stepped_back), ("_transposed", no_top),
+    for name, mutant in (("_reversal", start_not_stepped_back), ("_reversal", start_made_final),
                          ("_carried_lines", wrong_parity)):
         # each mutant asks from a slot of its own, and the module's slot and
         # function are put back after it
@@ -514,7 +523,7 @@ def test_reversed_order_pool_kills_three_oracle_mutants(monkeypatch):
                                      for a1, d1, a2, d2, size, w in pool)
         monkeypatch.undo()
     # the counts measured when this test was written are the floors
-    assert kills["start_not_stepped_back"] >= 42 and kills["no_top"] >= 54, kills
+    assert kills["start_not_stepped_back"] >= 42 and kills["start_made_final"] >= 54, kills
     assert kills["wrong_parity"] >= 13, kills
 
 
@@ -534,16 +543,16 @@ def _free_and_cell_walks(a1, d1, a2, d2, sizes):
 
     Each walk has a fresh search of its own, and nothing is fixed.
     """
-    from hexscan.langtools import _lines, _search, _sides
-    from hexscan.scan import _carried_lines, _line_lengths
+    from hexscan.langtools import _aligned, _lines
+    from hexscan.scan import _line_lengths
 
-    (a, mode0), (b, mode1) = _sides(a1, d1, a2, d2)
-    order = _carried_lines(mode0, mode1)
-    free, by_cell = (_search(a, b, AB, order[0]) for _ in range(2))
+    free, by_cell = (_aligned(a1, d1, a2, d2, AB) for _ in range(2))
+    order, mode1 = free.order, free.mode1
     for size in sizes:
         lines = _lines(order, scan_lines(size, mode1).reading)
         lengths = _lines(order, _line_lengths(size, mode1.element))
-        yield len(lines[0]) % 2, free.mismatch(lengths, {}), by_cell.mismatch(lines, {})
+        yield (len(lines[0]) % 2, free.search.mismatch(lengths, {}),
+               by_cell.search.mismatch(lines, {}))
 
 
 def test_free_line_verdict_equals_the_cell_walk():
@@ -839,7 +848,7 @@ def test_a_kept_search_answers_as_a_fresh_one_in_every_call_order(monkeypatch):
 def test_a_kept_search_is_replaced_when_the_line_order_turns(monkeypatch):
     # The same machines and symbols in modes of the same line order and of
     # the reverse order are two questions: the reverse one reads side 0
-    # transposed, so neither's kept search may answer the other.
+    # reversed, so neither's kept search may answer the other.
     from hexscan import DirectionMode, langtools
 
     rng = random.Random(2828)
@@ -870,7 +879,7 @@ def test_two_threads_asking_different_questions_get_a_single_threads_answers(mon
     # the main thread's own question, which neither thread may replace
     main = (m_all(), CB, m_some("a"), CB, HexSize(2, 2, 2))
     assert exact_equivalent_for_size(*main) == make_uniform(HexSize(2, 2, 2), "b")
-    kept = langtools._kept.key
+    kept = langtools._kept.question
     halves = (range(0, len(questions), 2), range(1, len(questions), 2))
     barrier = threading.Barrier(2, timeout=60)
     got = [[], []]
@@ -895,7 +904,37 @@ def test_two_threads_asking_different_questions_get_a_single_threads_answers(mon
     assert not any(t.is_alive() for t in threads)
     for half in (0, 1):
         assert got[half] == [fresh[i, size] for i in halves[half] for size in KEPT_SIZES]
-    assert langtools._kept.key == kept
+    assert langtools._kept.question is kept
+
+
+def test_a_kept_question_is_reused_only_for_the_same_arguments(monkeypatch):
+    # The kept question is keyed by the call's arguments but the size, by
+    # value: a set changed between two calls asks a new question, a
+    # generator is read once, and new machines equal to the kept ones get
+    # the kept question, and its answers.
+    from hexscan import langtools
+
+    monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+    size = HexSize(2, 2, 2)
+    alphabet = {"a"}
+    # over {"a"} every picture holds an "a"
+    assert exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size, alphabet) is None
+    kept = langtools._kept.question
+    alphabet.add("b")
+    assert exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size, alphabet) == \
+        make_uniform(size, "b")
+    assert langtools._kept.question is not kept
+    monkeypatch.setattr(langtools, "_kept", langtools._Kept())
+    assert exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size, (s for s in AB)) == \
+        exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size, AB) == \
+        make_uniform(size, "b")
+    kept = langtools._kept.question
+    assert m_all() is not m_all() and m_all() == m_all()
+    for size in KEPT_SIZES:
+        assert exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size, (s for s in AB)) == \
+            make_uniform(size, "b")
+        assert equal_at_every_size(m_all(), CB, m_some("a"), CB, frozenset(AB)) is False
+    assert langtools._kept.question is kept
 
 
 def test_equivalent_leaves_the_kept_search_alone(monkeypatch):
@@ -906,10 +945,10 @@ def test_equivalent_leaves_the_kept_search_alone(monkeypatch):
 
     size = HexSize(2, 2, 2)
     assert exact_equivalent_for_size(m_all(), CB, m_some("a"), CB, size) == make_uniform(size, "b")
-    kept = langtools._kept.key
+    kept = langtools._kept.question
     for a2 in (m_some("a"), m_all()):
         equivalent(m_all(), CB, a2, CB, AB, SizeBound.max_side(2))
-        assert langtools._kept.key == kept
+        assert langtools._kept.question is kept
     # and it builds each size's lines only when its walk reaches that size:
     # an unequal question at (1,1,1) builds no plan of a later size
     planned = set()
