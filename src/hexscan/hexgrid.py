@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 from typing import Iterator, NamedTuple
 
 BORDER_SYMBOL = "#"
@@ -143,19 +143,20 @@ class HexPicture:
         return frozenset(chain.from_iterable(self.rows))
 
 
+def _picture(size: HexSize, flat: tuple[str, ...]) -> HexPicture:
+    """The picture whose symbols in row-major order are `flat`."""
+    ends = accumulate(row_widths(size), initial=0)
+    return HexPicture(size, tuple(flat[start:end] for start, end in pairwise(ends)))
+
+
 def make_uniform(size: HexSize, symbol: str) -> HexPicture:
     """Picture of the given size with every cell holding `symbol`."""
-    _check_symbol(symbol)
-    return HexPicture(size, tuple(tuple([symbol] * w) for w in row_widths(size)))
+    return _picture(size, (symbol,) * cell_count(size))
 
 
 def picture_from_cells(size: HexSize, assignment: dict[Cell, str]) -> HexPicture:
     """Build a picture from a complete cell-to-symbol mapping."""
-    rows = []
-    for r in range(size.row_count):
-        start = offset(size, r)
-        rows.append(tuple(assignment[Cell(r, q)] for q in range(start, start + row_width(size, r))))
-    return HexPicture(size, tuple(rows))
+    return _picture(size, tuple(map(assignment.__getitem__, cells(size))))
 
 
 # --- text format -----------------------------------------------------------

@@ -62,14 +62,14 @@ from .hexgrid import (
     Cell,
     HexPicture,
     HexSize,
+    _picture,
     cell_count,
     cells,
     picture_from_cells,
-    row_widths,
 )
-from .symmetry import apply_op, check_op, compose, invert, transform_size
+from .symmetry import _SIDES, apply_op, check_op, compose, invert, transform_size
 from .automata import HexAutomaton, IndexedAutomaton, _check_question, _reversal, _union
-from .scan import _SIDES, DirectionMode, _carried_lines, _line_lengths, scan_lines
+from .scan import DirectionMode, _carried_lines, _line_lengths, scan_lines
 
 
 @dataclass(frozen=True)
@@ -115,16 +115,6 @@ def picture_sort_key(
     then serialized text.
     """
     return cell_count(picture.size), picture.size.as_tuple(), picture.rows
-
-
-def _picture(size: HexSize, flat: tuple[str, ...]) -> HexPicture:
-    """The picture whose symbols in row-major order are `flat`."""
-    rows = []
-    at = 0
-    for w in row_widths(size):
-        rows.append(flat[at:at + w])
-        at += w
-    return HexPicture(size, tuple(rows))
 
 
 def _symbols(alphabet: Iterable[str]) -> tuple[str, ...]:
@@ -250,20 +240,6 @@ def _image_question(
     return symbols, image_mode
 
 
-def _enumerated_difference(
-    a1: HexAutomaton,
-    d1: DirectionMode,
-    a2: HexAutomaton,
-    d2: DirectionMode,
-    size: HexSize,
-    symbols: tuple[str, ...],
-) -> HexPicture | None:
-    """The smallest picture at `size` accepted by exactly one side, from the two sets of words."""
-    diff = set(_accepted_words(a1, size, d1, symbols))
-    diff.symmetric_difference_update(_accepted_words(a2, size, d2, symbols))
-    return _picture(size, min(diff)) if diff else None
-
-
 def bounded_equivalent(
     a1: HexAutomaton,
     d1: DirectionMode,
@@ -286,9 +262,10 @@ def bounded_equivalent(
     """
     symbols, image_mode = _image_question(a1, d1, a2, d2, alphabet, op)
     for size in bound.image(op).sorted_sizes():
-        witness = _enumerated_difference(a1, image_mode, a2, d2, size, symbols)
-        if witness is not None:
-            return witness
+        diff = set(_accepted_words(a1, size, image_mode, symbols))
+        diff.symmetric_difference_update(_accepted_words(a2, size, d2, symbols))
+        if diff:
+            return _picture(size, min(diff))
     return None
 
 

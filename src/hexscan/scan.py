@@ -13,10 +13,10 @@ built only when `lines` or `reading` is asked for, which an untraced run
 never does: its `reader` maps positions straight from the geometry.
 
 Mode codes are `B:<op>` (boustrophedon) and `R:<op>` (returning), 24 total.
-The two kinds share plan geometry, down to one `lines` tuple per (size, op),
-and differ only in reading orientation, which `_ODD_LINES_BACKWARD` alone
-states: a boustrophedon mode reads every odd line backwards, a returning
-mode every line forwards.  Both `scan_lines` and `_carried_lines` read it.
+Both kinds of one element build the same geometry the same way, and differ
+only in reading orientation, which `_ODD_LINES_BACKWARD` alone states: a
+boustrophedon mode reads every odd line backwards, a returning mode every
+line forwards.  Both `scan_lines` and `_carried_lines` read it.
 `_line_lengths` needs no plan: lengths follow from `_columns` alone.
 """
 
@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .hexgrid import Cell, HexSize, cell_count, row_widths
-from .symmetry import OP_NAMES, affine, check_op, compose, invert, transform_size
+from .symmetry import _SIDES, OP_NAMES, affine, check_op, compose, invert, transform_size
 
 BOUSTROPHEDON = "boustrophedon"
 RETURNING = "returning"
@@ -78,20 +78,20 @@ class ScanPlan:
     The fields are the plan geometry: every line advances by one `step`
     (dr, dq), and `starts` holds each line's first cell and length,
     (r, q, length), in order.  The plans of both scanner kinds for one size
-    and element hold the same two tuples, and a boustrophedon plan holds the
-    `returning` plan whose `lines` it shares.  A run reads line i as
-    `reading[i]`: from its far end, stepping back, when `backward[i]`, else
-    as `lines[i]`, and one border symbol `#` after it, so it reads the one
-    word `L1 # L2 # ... LK #`.  `reader` builds that word from a picture's
-    symbols.  `lines`, `reading` and `reader` are computed on first use; an
-    untraced run reads only `reader`, and so builds no cell.
+    and element hold equal geometry, and differ in `backward` alone.  A run
+    reads line i as `reading[i]`: from its far end, stepping back, when
+    `backward[i]`, else from its first cell, and one border symbol `#` after
+    it, so it reads the one word `L1 # L2 # ... LK #`.  `lines` is `reading`
+    with its backward lines turned back, each line from its first cell.
+    `reader` builds the run's word from a picture's symbols.  `lines`,
+    `reading` and `reader` are computed on first use; an untraced run reads
+    only `reader`, and so builds no cell.
     """
 
     size: HexSize
     step: tuple[int, int]
     starts: tuple[tuple[int, int, int], ...]
     backward: tuple[bool, ...]
-    returning: ScanPlan | None
 
     def _walks(self) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
         """Each line in reading order as its cells' rows and columns, two sequences to zip."""
@@ -109,7 +109,8 @@ class ScanPlan:
 
     @cached_property
     def lines(self) -> tuple[tuple[Cell, ...], ...]:
-        return self.reading if self.returning is None else self.returning.lines
+        turned = zip(self.reading, self.backward)
+        return tuple(line[::-1] if back else line for line, back in turned)
 
     @cached_property
     def reader(self) -> Callable[[Sequence], tuple]:
@@ -145,14 +146,8 @@ def _indices(count: int) -> tuple[int, ...]:
 
 # Builds a Cell from an (r, q) pair without a Python-level __new__ call
 _cell = partial(tuple.__new__, Cell)
-_RETURNING_MODES = {mode.element: mode for mode in modes_for_kind(RETURNING)}
 # Whether a kind reads every odd line backwards; every other line is read forwards
 _ODD_LINES_BACKWARD = {BOUSTROPHEDON: True, RETURNING: False}
-
-
-# An op permutes a size's sides (l, m, n), as the image of (1, 2, 3) shows
-_SIDES = {g: itemgetter(*(side - 1 for side in transform_size(g, HexSize(1, 2, 3)).as_tuple()))
-          for g in OP_NAMES}
 
 
 def _columns(l: int, m: int, n: int) -> Iterator[tuple[int, int, int]]:
@@ -177,21 +172,17 @@ def scan_lines(size: HexSize, mode: DirectionMode) -> ScanPlan:
     g's inverse.  Each line's image starts at the image of its top cell and
     advances by the map's linear part applied to the column step (1, 0),
     one `step` for every line.  The canonical mode takes the same path with
-    the identity.  A boustrophedon plan takes its geometry from the
-    returning plan of the same element, and holds that plan.  Each line's
-    reading orientation follows `_ODD_LINES_BACKWARD`.  No cell is built:
-    the plan's `lines`, `reading` and `reader` are computed on first use.
+    the identity, and both kinds take it alike; each line's reading
+    orientation follows `_ODD_LINES_BACKWARD`.  No cell is built: the plan's
+    `lines`, `reading` and `reader` are computed on first use.
     """
     g = mode.element
-    if _ODD_LINES_BACKWARD[mode.kind]:
-        plan = scan_lines(size, _RETURNING_MODES[g])
-        k = len(plan.starts)
-        return ScanPlan(size, plan.step, plan.starts, ((False, True) * k)[:k], plan)
     target = transform_size(g, size)
     a, b, c, d, e, f = affine(invert(g), target)
     starts = tuple((a * r + b * q + e, c * r + d * q + f, length)
                    for q, r, length in _columns(target.l, target.m, target.n))
-    return ScanPlan(size, (a, c), starts, (False,) * len(starts), None)
+    k = len(starts)
+    return ScanPlan(size, (a, c), starts, ((False, _ODD_LINES_BACKWARD[mode.kind]) * k)[:k])
 
 
 @lru_cache(maxsize=None)  # one entry per pair of the 24 modes at most

@@ -17,14 +17,16 @@ Anchoring:
     the central 180-degree rotation.
 
 The signed permutations are the group's only definition: the op names, the
-product table behind `compose` (h first, then g), `invert` and the normal
-forms are all computed from them.
+product table behind `compose` (h first, then g), `invert`, the normal forms
+and each op's permutation of a size's sides (`transform_size`) are all
+computed from them.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
+from operator import itemgetter
 
 from .hexgrid import Cell, HexPicture, HexSize, cells, picture_from_cells
 
@@ -61,6 +63,15 @@ def _linear(perm: tuple[int, int, int], negate: bool) -> tuple[int, int, int, in
 
 # Each op's linear part on (r, q), built once from its cube permutation
 _LINEAR: dict[str, tuple[int, int, int, int]] = {op: _linear(*m) for op, m in _CUBE_MAPS.items()}
+
+
+# Each op's permutation of a size's sides (l, m, n): the image's sides, read
+# from the source's.  Extent i (l+m-1, m+n-1, n+l-1) spans sides i and i+1,
+# and the image's extent i is the source's extent perm[i].  So the image's
+# side j, the one its extents j-1 and j share, is the side that extent
+# perm[j+1] does not span: (perm[j+1] + 2) mod 3.
+_SIDES = {op: itemgetter((perm[1] + 2) % 3, (perm[2] + 2) % 3, (perm[0] + 2) % 3)
+          for op, (perm, _) in _CUBE_MAPS.items()}
 
 
 def check_op(op: str) -> str:
@@ -101,17 +112,8 @@ def normal_form(op: str) -> OpWord:
 
 
 def transform_size(op: str, size: HexSize) -> HexSize:
-    """Size of the image of a picture of the given size under op.
-
-    The extents along the three axis families (l+m-1, m+n-1, l+n-1) permute
-    with the cube axes; solving the permuted extents recovers the sides.
-    """
-    check_op(op)
-    l, m, n = size.l, size.m, size.n
-    extents = (l + m - 1, m + n - 1, l + n - 1)
-    perm, _ = _CUBE_MAPS[op]
-    ex, ey, ez = (extents[perm[0]], extents[perm[1]], extents[perm[2]])
-    return HexSize((ex + ez - ey + 1) // 2, (ex + ey - ez + 1) // 2, (ey + ez - ex + 1) // 2)
+    """Size of the image of a picture of the given size under op: `_SIDES[op]` of its sides."""
+    return HexSize(*_SIDES[check_op(op)](size.as_tuple()))
 
 
 def affine(op: str, size: HexSize) -> tuple[int, int, int, int, int, int]:

@@ -6,11 +6,12 @@ Run from the root of a checkout:
 
 It runs every mutant, one after another; to mutate fewer definitions, edit
 `TARGETS`.  A mutant changes one operator or constant inside one of the
-functions or classes `TARGETS` names; annotations are never changed.  The operators
-(DeMillo, Lipton & Sayward, IEEE Computer 1978; Offutt et al., ACM TOSEM
-1996): each comparison swapped for its neighbour; `|` and `&`, `+` and `-`
-swapped, `^` made `|`; `and` and `or` swapped; `not` and `~` dropped; an int
-constant below 100 made one larger, and a boolean flipped.
+top-level functions, classes or assignments `TARGETS` names; annotations are
+never changed.  The operators (DeMillo, Lipton & Sayward, IEEE Computer
+1978; Offutt et al., ACM TOSEM 1996): each comparison swapped for its
+neighbour; `|` and `&`, `+` and `-` swapped, `^` made `|`; `and` and `or`
+swapped; `not` and `~` dropped; an int constant below 100 made one larger,
+and a boolean flipped.
 
 The checkout's `src/` and `tests/` are copied once into a temporary
 directory.  Each mutant is written there, as `ast.unparse` of the mutated
@@ -35,16 +36,18 @@ import tempfile
 import time
 from pathlib import Path
 
-# module under src/ -> the top-level functions and classes whose code is mutated
+# module under src/ -> the top-level functions, classes and assignments whose code is mutated
 TARGETS = {
     "hexscan/langtools.py": ("_PairSearch", "_lines", "_certified", "_Question", "_aligned",
                              "_kept_question", "equal_at_every_size",
                              "_searched_difference", "equivalent",
                              "exact_equivalent_for_size", "bounded_equivalent",
-                             "_enumerated_difference", "_accepted_words"),
+                             "_accepted_words"),
     "hexscan/automata.py": ("_reversal",),
     "hexscan/scan.py": ("ScanPlan", "_axis", "_columns", "_line_lengths", "scan_lines",
                         "_carried_lines"),
+    "hexscan/symmetry.py": ("_SIDES", "transform_size"),
+    "hexscan/hexgrid.py": ("_picture", "picture_from_cells"),
 }
 # module under src/ -> the test files run against each of its mutants
 TESTS = {
@@ -52,6 +55,9 @@ TESTS = {
     "hexscan/automata.py": ("tests/test_langtools.py", "tests/test_transforms.py"),
     "hexscan/scan.py": ("tests/test_scan.py", "tests/test_automata.py", "tests/test_langtools.py",
                         "tests/test_bounded_equivalent.py"),
+    "hexscan/symmetry.py": ("tests/test_symmetry.py", "tests/test_scan.py"),
+    "hexscan/hexgrid.py": ("tests/test_hexgrid.py", "tests/test_symmetry.py",
+                           "tests/test_bounded_equivalent.py"),
 }
 
 _SWAPS = {
@@ -96,8 +102,12 @@ def _replace(parent: ast.AST, field: str, index: int | None, new: ast.AST) -> No
 
 def _mutations(tree: ast.Module, names: tuple[str, ...]):
     """Every mutation of the named definitions, in source order: (target, line, what, apply)."""
-    found = {node.name: node for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names}
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            found[node.targets[0].id] = node
     missing = set(names) - set(found)
     if missing:
         raise SystemExit(f"no top-level definition named {', '.join(sorted(missing))}")

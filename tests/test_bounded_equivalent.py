@@ -102,8 +102,8 @@ def test_oracle_matches_its_definition(monkeypatch):
     # `equivalent` builds one pair search per aligned question, equal or
     # not, and `bounded_equivalent` builds none
     monkeypatch.setattr(langtools, "_PairSearch", counted("exact", langtools._PairSearch))
-    monkeypatch.setattr(langtools, "_enumerated_difference",
-                        counted("enumerated", langtools._enumerated_difference))
+    monkeypatch.setattr(langtools, "_accepted_words",
+                        counted("enumerated", langtools._accepted_words))
 
     def paths(question):
         """`equivalent`'s answer, and whether it took the exact path, the enumeration path."""

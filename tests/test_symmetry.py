@@ -12,7 +12,7 @@ from hexscan import (
     normal_form,
     transform_size,
 )
-from hexscan.symmetry import OP_NAMES, cell_map, check_op
+from hexscan.symmetry import _CUBE_MAPS, OP_NAMES, cell_map, check_op
 from hexscan.hexgrid import Cell, cells
 
 from conftest import cube_cell_map, evaluate_word, marker_picture
@@ -101,6 +101,26 @@ def test_transform_size_examples():
     # frozen from a marker-picture observation: R1 shifts sides cyclically
     assert transform_size("R1", HexSize(2, 3, 4)) == HexSize(3, 4, 2)
     assert transform_size("R1", HexSize(1, 2, 3)) == HexSize(2, 3, 1)
+
+
+def reference_transform_size(op, size):
+    """The size of op's image, from the extents alone.
+
+    The three axis families' extents (l+m-1, m+n-1, l+n-1) permute with the
+    cube axes; solving the permuted extents recovers the sides.
+    """
+    l, m, n = size.l, size.m, size.n
+    extents = (l + m - 1, m + n - 1, l + n - 1)
+    perm, _ = _CUBE_MAPS[op]
+    ex, ey, ez = (extents[perm[0]], extents[perm[1]], extents[perm[2]])
+    return HexSize((ex + ez - ey + 1) // 2, (ex + ey - ez + 1) // 2, (ey + ez - ex + 1) // 2)
+
+
+def test_transform_size_matches_solved_extents():
+    r = range(1, 9)
+    for size in (HexSize(l, m, n) for l in r for m in r for n in r):
+        for op in OP_NAMES:
+            assert transform_size(op, size) == reference_transform_size(op, size), (op, size)
 
 
 sides = st.integers(min_value=1, max_value=4)
