@@ -107,6 +107,15 @@ def test_lines_are_straight_and_maximal(size):
             assert delta in {(0, 1), (0, -1), (1, 0), (-1, 0), (1, -1), (-1, 1)}
 
 
+def test_kinds_share_plan_geometry():
+    # the two kinds of one element differ in reading orientation alone
+    for op in OP_NAMES:
+        for size in (HexSize(2, 2, 2), HexSize(2, 3, 1)):
+            b = scan_lines(size, DirectionMode(BOUSTROPHEDON, op))
+            r = scan_lines(size, DirectionMode(RETURNING, op))
+            assert (b.step, b.starts, b.lines) == (r.step, r.starts, r.lines), (size, op)
+
+
 def reference_plan(size, mode):
     """(lines, backward, reading) of a mode's plan, pulled back cell by cell.
 
@@ -145,12 +154,6 @@ def test_plan_reads_odd_boustrophedon_lines_backwards():
             backward = mode.kind == BOUSTROPHEDON and i % 2 == 1
             assert plan.backward[i] == backward
             assert plan.reading[i] == (line[::-1] if backward else line)
-    # the two kinds of one element differ in reading orientation alone
-    for op in OP_NAMES:
-        for size in (HexSize(2, 2, 2), HexSize(2, 3, 1)):
-            b = scan_lines(size, DirectionMode(BOUSTROPHEDON, op))
-            r = scan_lines(size, DirectionMode(RETURNING, op))
-            assert (b.step, b.starts, b.lines) == (r.step, r.starts, r.lines), (size, op)
 
 
 @pytest.mark.parametrize("size", all_small_sizes(4) + [LARGE])
